@@ -29,7 +29,6 @@ from .graph import (
 from .graphlets import (
     SKELETON_ORDER,
     SKELETONS,
-    GraphletInstance,
     Skeleton,
     TypedGraphletSignature,
     brute_force_all_instances,
@@ -37,11 +36,9 @@ from .graphlets import (
     census,
     enumerate_all_instances,
     enumerate_instances,
-    enumerate_typed_instances,
     format_signature,
     instances_matching,
     parse_signature_spec,
-    per_edge_instance_counts,
     resolve_skeleton,
     signature_of,
 )

@@ -76,7 +76,6 @@ class RunConfig:
     fraction: float = 0.5
     operator: str = "all"
     strict_types: bool = False
-    threads: int = 1
     records: bool = False
     parts: int = 2
     drop_trivial: bool = False
@@ -108,8 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict-types", action="store_true",
                        help="position-sensitive typed signatures")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; results do not depend on it")
 
     p = sub.add_parser("census", help="typed graphlet census table")
     common(p)
@@ -160,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(command=args.command, input=args.input, output_dir=args.output_dir)
     for name in (
-        "motif", "dim", "seed", "fraction", "operator", "strict_types", "threads",
-        "records", "parts", "drop_trivial", "oracle_check", "dump_matrix",
-        "edge_type", "trials",
+        "motif", "dim", "seed", "fraction", "operator", "strict_types", "records",
+        "parts", "drop_trivial", "oracle_check", "dump_matrix", "edge_type", "trials",
     ):
         if hasattr(args, name):
             setattr(cfg, name, getattr(args, name))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -367,31 +367,27 @@ def weighted_conductance(g: WeightedGraph, s: Iterable[int]) -> float:
     return weighted_cut(g, side) / denom
 
 
-def brute_force_min_weighted_conductance(
-    g: WeightedGraph, max_nodes: int = 20
-) -> tuple[frozenset, Fraction]:
-    """Exact minimum weighted conductance by exhausting all cuts.
-
-    Requires integer weights so the minimum is an exact Fraction. Cuts where
-    one side has zero volume are excluded. Ties break toward the cut whose
-    smaller side is smallest, then lexicographically by membership.
-    """
-    n = g.node_count
+def _check_cut_search_size(n: int, max_nodes: int) -> None:
     if n > max_nodes:
         raise ValueError(f"brute force limited to {max_nodes} nodes, got {n}")
     if n < 2:
         raise DegenerateCutError("graph too small to cut")
-    if g.degrees.dtype != np.int64:
-        raise ValueError("exact brute force requires integer weights")
-    us = np.array([u for (u, v) in g.weights], dtype=np.uint32)
-    vs = np.array([v for (u, v) in g.weights], dtype=np.uint32)
-    ws = np.array([w for w in g.weights.values()], dtype=np.int64)
-    deg = g.degrees
-    total = int(deg.sum())
 
+
+def _min_conductance_cut(
+    deg: np.ndarray, cut_of: Callable[[int], int]
+) -> tuple[frozenset, Fraction]:
+    """Exact minimum of cut over smaller-side volume, by exhausting all cuts.
+
+    ``cut_of(bits)`` is the integer cut of the side whose members are the set
+    bits. Node n-1 stays on the complement side so each cut is seen once.
+    Cuts where one side has zero volume are excluded. Ties break toward the
+    cut whose smaller side is smallest, then lexicographically by membership.
+    """
+    n = len(deg)
+    total = int(deg.sum())
     best: tuple[int, int, tuple[int, tuple[int, ...]]] | None = None
     best_side: frozenset | None = None
-    # Node n-1 stays on the complement side so each cut is seen once.
     for bits in range(1, 1 << (n - 1)):
         vol = 0
         members = []
@@ -404,31 +400,43 @@ def brute_force_min_weighted_conductance(
         minvol = min(vol, total - vol)
         if minvol == 0:
             continue
-        sb = np.uint32(bits)
-        crossing = ((sb >> us) & 1) != ((sb >> vs) & 1)
-        cut = int(ws[crossing].sum()) if len(ws) else 0
+        cut = cut_of(bits)
         side = frozenset(members)
         other = frozenset(range(n)) - side
-        canon = min(
-            (len(side), tuple(sorted(side))), (len(other), tuple(sorted(other)))
-        )
-        key = (cut, minvol, canon)
-        if best is None or _frac_less(key, best):
-            best = key
-            best_side = side if canon[1] == tuple(sorted(side)) else other
+        canon_s = (len(side), tuple(sorted(side)))
+        canon_o = (len(other), tuple(sorted(other)))
+        canon = min(canon_s, canon_o)
+        # cut/minvol < best_cut/best_minvol, cross-multiplied to stay exact.
+        if best is None or (cut * best[1], canon) < (best[0] * minvol, best[2]):
+            best = (cut, minvol, canon)
+            best_side = side if canon == canon_s else other
     if best is None:
-        raise ZeroVolumeError("all cuts have a zero-volume side")
+        raise ZeroVolumeError("every cut has a zero-volume side")
     cut, minvol, _ = best
     return best_side, Fraction(cut, minvol)
 
 
-def _frac_less(a: tuple, b: tuple) -> bool:
-    """Compare (cut, minvol, tiebreak) candidates as cut/minvol fractions."""
-    left = a[0] * b[1]
-    right = b[0] * a[1]
-    if left != right:
-        return left < right
-    return a[2] < b[2]
+def brute_force_min_weighted_conductance(
+    g: WeightedGraph, max_nodes: int = 20
+) -> tuple[frozenset, Fraction]:
+    """Exact minimum weighted conductance by exhausting all cuts.
+
+    Requires integer weights so the minimum is an exact Fraction. Cuts where
+    one side has zero volume are excluded. Ties break toward the cut whose
+    smaller side is smallest, then lexicographically by membership.
+    """
+    _check_cut_search_size(g.node_count, max_nodes)
+    if g.degrees.dtype != np.int64:
+        raise ValueError("exact brute force requires integer weights")
+    us = np.array([u for (u, v) in g.weights], dtype=np.uint32)
+    vs = np.array([v for (u, v) in g.weights], dtype=np.uint32)
+    ws = np.array([w for w in g.weights.values()], dtype=np.int64)
+
+    def cut_of(bits: int) -> int:
+        sb = np.uint32(bits)
+        return int(ws[((sb >> us) & 1) != ((sb >> vs) & 1)].sum())
+
+    return _min_conductance_cut(g.degrees, cut_of)
 
 
 def permute_graph(g: HeteroGraph, order: Sequence[int]) -> HeteroGraph:

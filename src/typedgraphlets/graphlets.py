@@ -5,14 +5,21 @@ edge (needed for the classical spectral reduction and baselines). Instances
 are always induced occurrences, deduplicated by node set. The fast
 enumerator expands edges, triangles, and wedges; an O(n^4) subset scan is
 kept as an independent oracle for testing.
+
+Every query reads one occurrence table per (graph, skeleton, typing mode):
+the occurrences as an integer array of node ids, enumerated once per graph,
+plus a signature-id column that is typed on first demand.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import UnknownTypeError
 from .graph import HeteroGraph
@@ -130,14 +137,6 @@ class TypedGraphletSignature:
         return self.node_types is None and self.edge_types is None
 
 
-@dataclass(frozen=True)
-class GraphletInstance:
-    """One induced occurrence: sorted node ids plus its signature."""
-
-    nodes: tuple[int, ...]
-    signature: TypedGraphletSignature
-
-
 def _induced_edges(g: HeteroGraph, nodes: Sequence[int]) -> list[tuple[int, int]]:
     adj = g.adjacency
     return [(u, v) for u, v in combinations(sorted(nodes), 2) if v in adj[u]]
@@ -216,15 +215,17 @@ def _triangles_and_wedges(g: HeteroGraph) -> tuple[list[tuple], list[tuple]]:
     return triangles, wedges
 
 
-def _four_node_sets(g: HeteroGraph) -> dict[str, list[tuple]]:
+def _four_node_sets(
+    g: HeteroGraph, triangles: list[tuple], wedges: list[tuple]
+) -> dict[str, list[tuple]]:
     """All induced 4-node occurrences, keyed by skeleton name.
 
-    Shapes containing a triangle come from expanding triangles by one node;
-    the triangle-free ones come from expanding induced wedges. Duplicates
-    (one occurrence reached from several seeds) collapse via node-set keys.
+    Shapes containing a triangle come from expanding ``triangles`` by one
+    node; the triangle-free ones come from expanding induced ``wedges``.
+    Duplicates (one occurrence reached from several seeds) collapse via
+    node-set keys.
     """
     adj = g.adjacency
-    triangles, wedges = _triangles_and_wedges(g)
     cliques: set[tuple] = set()
     diamonds: set[tuple] = set()
     tailed: set[tuple] = set()
@@ -277,12 +278,12 @@ def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
     skel = resolve_skeleton(skel)
     if skel.name == "edge":
         return sorted(g.edges)
-    if skel.node_count == 3:
-        triangles, wedges = _triangles_and_wedges(g)
-        if skel.name == "triangle":
-            return sorted(triangles)
+    triangles, wedges = _triangles_and_wedges(g)
+    if skel.name == "triangle":
+        return sorted(triangles)
+    if skel.name == "wedge":
         return sorted(tuple(sorted(w)) for w in wedges)
-    return _four_node_sets(g)[skel.name]
+    return _four_node_sets(g, triangles, wedges)[skel.name]
 
 
 def enumerate_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
@@ -293,28 +294,60 @@ def enumerate_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
         "wedge": sorted(tuple(sorted(w)) for w in wedges),
         "triangle": sorted(triangles),
     }
-    out.update(_four_node_sets(g))
+    out.update(_four_node_sets(g, triangles, wedges))
     return out
 
 
-def enumerate_typed_instances(
-    g: HeteroGraph, skel, typing_mode: str = "multiset"
-) -> Iterator[GraphletInstance]:
-    """Yield typed occurrences of ``skel`` in lexicographic node order."""
-    skel = resolve_skeleton(skel)
-    for nodes in enumerate_instances(g, skel):
-        yield GraphletInstance(nodes, signature_of(g, nodes, skel, typing_mode))
+# Occurrence tables of each live graph: skeleton name -> rows, and
+# (skeleton name, typing mode) -> signature ids plus interned signatures.
+# Nothing in a table refers back to its graph, so it dies with the graph.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def instances_matching(
-    g: HeteroGraph, sig: TypedGraphletSignature
-) -> list[GraphletInstance]:
-    """All occurrences whose signature matches ``sig`` (wildcards allowed)."""
-    return [
-        inst
-        for inst in enumerate_typed_instances(g, sig.skeleton, sig.typing_mode)
-        if sig.matches(inst.signature)
-    ]
+def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
+    """Read-only (occurrences, k) node ids of ``skel``, rows as enumerated.
+
+    One 4-node request fills all six 4-node tables from one expansion.
+    """
+    tables = _TABLES.setdefault(g, {})
+    if skel.name not in tables:
+        if skel.node_count == 4:
+            found = _four_node_sets(g, *_triangles_and_wedges(g))
+        else:
+            found = {skel.name: enumerate_instances(g, skel)}
+        for name, nodes in found.items():
+            rows = np.array(nodes, dtype=np.int32).reshape(-1, SKELETONS[name].node_count)
+            rows.flags.writeable = False
+            tables[name] = rows
+    return tables[skel.name]
+
+
+def _signature_column(
+    g: HeteroGraph, skel: Skeleton, typing_mode: str
+) -> tuple[np.ndarray, list[TypedGraphletSignature]]:
+    """Per-row index into the signatures of ``skel``, in first-seen order."""
+    tables = _TABLES.setdefault(g, {})
+    key = (skel.name, typing_mode)
+    if key not in tables:
+        interned: dict[TypedGraphletSignature, int] = {}
+        ids = [
+            interned.setdefault(signature_of(g, nodes, skel, typing_mode), len(interned))
+            for nodes in _occurrence_rows(g, skel).tolist()
+        ]
+        tables[key] = (np.array(ids, dtype=np.int32), list(interned))
+    return tables[key]
+
+
+def instances_matching(g: HeteroGraph, sig: TypedGraphletSignature) -> np.ndarray:
+    """Rows of the occurrences whose signature matches ``sig``.
+
+    A wildcard selects every row without typing any occurrence.
+    """
+    rows = _occurrence_rows(g, sig.skeleton)
+    if sig.is_wildcard:
+        return rows
+    ids, sigs = _signature_column(g, sig.skeleton, sig.typing_mode)
+    return rows[np.isin(ids, [i for i, s in enumerate(sigs) if sig.matches(s)])]
 
 
 def census(
@@ -331,8 +364,9 @@ def census(
         names = [resolve_skeleton(s).name for s in skels]
     counts: dict[TypedGraphletSignature, int] = {}
     for name in names:
-        for inst in enumerate_typed_instances(g, name, typing_mode):
-            counts[inst.signature] = counts.get(inst.signature, 0) + 1
+        ids, sigs = _signature_column(g, SKELETONS[name], typing_mode)
+        for sig, count in zip(sigs, np.bincount(ids, minlength=len(sigs)).tolist()):
+            counts[sig] = counts.get(sig, 0) + count
     order = {name: i for i, name in enumerate(SKELETON_ORDER)}
     return dict(
         sorted(
@@ -340,21 +374,6 @@ def census(
             key=lambda kv: (order[kv[0].skeleton.name], kv[0].node_types, kv[0].edge_types),
         )
     )
-
-
-def per_edge_instance_counts(
-    g: HeteroGraph, sig: TypedGraphletSignature
-) -> dict[tuple[int, int], int]:
-    """Sparse symmetric matrix entry (i, j): occurrences containing edge (i, j).
-
-    Only edges of the graph can carry counts, since every edge of an induced
-    occurrence is a graph edge. Stored one key per unordered pair, i < j.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    for inst in instances_matching(g, sig):
-        for e in _induced_edges(g, inst.nodes):
-            counts[e] = counts.get(e, 0) + 1
-    return counts
 
 
 def classify_induced(g: HeteroGraph, nodes: Sequence[int]) -> str | None:

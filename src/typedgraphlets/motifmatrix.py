@@ -12,32 +12,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DegenerateCutError, GraphletAbsentError, ZeroVolumeError
-from .graph import HeteroGraph, WeightedGraph, _validate_cut
-from .graphlets import (
-    GraphletInstance,
-    TypedGraphletSignature,
-    _induced_edges,
-    instances_matching,
+from .errors import GraphletAbsentError, ZeroVolumeError
+from .graph import (
+    HeteroGraph,
+    WeightedGraph,
+    _check_cut_search_size,
+    _min_conductance_cut,
+    _validate_cut,
 )
+from .graphlets import TypedGraphletSignature, instances_matching
 
 BRUTE_FORCE_MAX_CUT_NODES = 20
 
 
 @dataclass
 class MotifMatrix:
-    """W, its degree vector, and the occurrence list it was built from."""
+    """W, its degree vector, and the occurrence rows it was built from."""
 
     graph: HeteroGraph
     signature: TypedGraphletSignature
     weights: dict[tuple[int, int], int]
     degrees: np.ndarray
-    instances: list[GraphletInstance]
+    instances: np.ndarray
 
     def induced_graph(self) -> WeightedGraph:
         return WeightedGraph(self.graph.node_count, self.weights)
@@ -72,31 +74,34 @@ class NormalizedLaplacian:
 
 
 def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatrix:
-    instances = instances_matching(g, sig)
-    weights: dict[tuple[int, int], int] = {}
-    for inst in instances:
-        for e in _induced_edges(g, inst.nodes):
-            weights[e] = weights.get(e, 0) + 1
-    degrees = np.zeros(g.node_count, dtype=np.int64)
-    for (u, v), w in weights.items():
-        degrees[u] += w
-        degrees[v] += w
-    return MotifMatrix(g, sig, weights, degrees, instances)
+    """W entry (i, j), i < j: matching occurrences that contain edge (i, j).
+
+    Every node pair of an occurrence row that is a graph edge is an edge of
+    the induced occurrence; W counts those pairs by their ``i * n + j`` key.
+    """
+    rows = instances_matching(g, sig)
+    n = g.node_count
+    pairs = [rows[:, a].astype(np.int64) * n + rows[:, b]
+             for a, b in combinations(range(rows.shape[1]), 2)]
+    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+    keys = np.concatenate(pairs)
+    keys, counts = np.unique(keys[np.isin(keys, edges[:, 0] * n + edges[:, 1])],
+                             return_counts=True)
+    us, vs = np.divmod(keys, n)
+    weights = dict(zip(zip(us.tolist(), vs.tolist()), counts.tolist()))
+    degrees = np.bincount(np.concatenate([us, vs]), np.tile(counts, 2), minlength=n)
+    return MotifMatrix(g, sig, weights, degrees.astype(np.int64), rows)
 
 
 def typed_degree(mm: MotifMatrix, v: int) -> int:
     """Incident-edge count of ``v`` summed over occurrences.
 
-    Computed from the occurrence stream, not from W, so volume identities
-    against W stay a genuine cross-check.
+    Computed from the occurrence rows and the graph's adjacency, not from W,
+    so volume identities against W stay a genuine cross-check.
     """
-    total = 0
-    for inst in mm.instances:
-        if v in inst.nodes:
-            for a, b in _induced_edges(mm.graph, inst.nodes):
-                if v == a or v == b:
-                    total += 1
-    return total
+    adj = mm.graph.adjacency[v]
+    rows = mm.instances[(mm.instances == v).any(axis=1)]
+    return sum(u in adj for u in rows.ravel().tolist())
 
 
 def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
@@ -104,13 +109,10 @@ def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
     return sum(typed_degree(mm, v) for v in side)
 
 
-def _instance_cut(instances: Sequence[GraphletInstance], side: frozenset) -> int:
-    count = 0
-    for inst in instances:
-        inside = sum(1 for v in inst.nodes if v in side)
-        if 0 < inside < len(inst.nodes):
-            count += 1
-    return count
+def _instance_cut(rows: np.ndarray, side: frozenset) -> int:
+    """Occurrence rows with nodes on both sides of the cut."""
+    inside = np.isin(rows, list(side)).sum(axis=1)
+    return int(np.count_nonzero((inside > 0) & (inside < rows.shape[1])))
 
 
 def typed_cut(g: HeteroGraph, sig: TypedGraphletSignature, s: Iterable[int]) -> int:
@@ -147,19 +149,12 @@ def edge_expansion_measure(
     never optimises it.
     """
     side = _validate_cut(g.node_count, s)
-    instances = instances_matching(g, sig)
-    size_s = 0
-    size_rest = 0
-    for inst in instances:
-        for v in inst.nodes:
-            if v in side:
-                size_s += 1
-            else:
-                size_rest += 1
-    denom = min(size_s, size_rest)
+    rows = instances_matching(g, sig)
+    size_s = int(np.isin(rows, list(side)).sum())
+    denom = min(size_s, rows.size - size_s)
     if denom == 0:
         raise ZeroVolumeError("one side of the cut touches no occurrence")
-    return Fraction(_instance_cut(instances, side), denom)
+    return Fraction(_instance_cut(rows, side), denom)
 
 
 def brute_force_min_conductance(
@@ -173,58 +168,18 @@ def brute_force_min_conductance(
     smaller side, then lexicographic membership. Guarded to 20 nodes.
     """
     n = g.node_count
-    if n > max_nodes:
-        raise ValueError(f"brute force limited to {max_nodes} nodes, got {n}")
-    if n < 2:
-        raise DegenerateCutError("graph too small to cut")
+    _check_cut_search_size(n, max_nodes)
     mm = build_motif_matrix(g, sig)
-    if not mm.instances:
+    if not len(mm.instances):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
-    masks = np.array(
-        [sum(1 << v for v in inst.nodes) for inst in mm.instances], dtype=np.uint64
-    )
-    deg = mm.degrees
-    total = int(deg.sum())
+    masks = np.bitwise_or.reduce(np.uint64(1) << mm.instances.astype(np.uint64), axis=1)
     full = np.uint64((1 << n) - 1)
 
-    best: tuple[int, int, tuple[int, tuple[int, ...]]] | None = None
-    best_side: frozenset | None = None
-    for bits in range(1, 1 << (n - 1)):
-        vol = 0
-        members = []
-        b = bits
-        while b:
-            v = (b & -b).bit_length() - 1
-            vol += int(deg[v])
-            members.append(v)
-            b &= b - 1
-        minvol = min(vol, total - vol)
-        if minvol == 0:
-            continue
+    def cut_of(bits: int) -> int:
         sb = np.uint64(bits)
-        crossing = ((masks & sb) != 0) & ((masks & ~sb & full) != 0)
-        cut = int(np.count_nonzero(crossing))
-        side = frozenset(members)
-        other = frozenset(range(n)) - side
-        canon_s = (len(side), tuple(sorted(side)))
-        canon_o = (len(other), tuple(sorted(other)))
-        canon = min(canon_s, canon_o)
-        key = (cut, minvol, canon)
-        if best is None or _ratio_less(key, best):
-            best = key
-            best_side = side if canon == canon_s else other
-    if best is None:
-        raise ZeroVolumeError("every cut has a zero typed-volume side")
-    cut, minvol, _ = best
-    return best_side, Fraction(cut, minvol)
+        return int(np.count_nonzero(((masks & sb) != 0) & ((masks & ~sb & full) != 0)))
 
-
-def _ratio_less(a: tuple, b: tuple) -> bool:
-    left = a[0] * b[1]
-    right = b[0] * a[1]
-    if left != right:
-        return left < right
-    return a[2] < b[2]
+    return _min_conductance_cut(mm.degrees, cut_of)
 
 
 def build_normalized_laplacian(
@@ -266,6 +221,6 @@ def build_normalized_laplacian(
 
 def normalized_laplacian(mm: MotifMatrix) -> NormalizedLaplacian:
     """Laplacian of the motif-induced weighted graph on covered nodes."""
-    if not mm.instances:
+    if not len(mm.instances):
         raise GraphletAbsentError("graphlet absent from graph")
     return build_normalized_laplacian(mm.induced_graph())

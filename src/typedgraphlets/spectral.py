@@ -218,7 +218,7 @@ def cluster(
     value.
     """
     mm = build_motif_matrix(g, sig)
-    if not mm.instances:
+    if not len(mm.instances):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     comps = _covered_components(gH)
@@ -341,7 +341,7 @@ def spectral_ordering(
     raising.
     """
     mm = build_motif_matrix(g, sig)
-    if not mm.instances:
+    if not len(mm.instances):
         return OrderingResult(list(range(g.node_count)), False)
     gH = mm.induced_graph()
     comps = _covered_components(gH)
@@ -375,7 +375,7 @@ def spectral_embedding(
     if dim < 1:
         raise ValueError("embedding dimension must be at least 1")
     mm = build_motif_matrix(g, sig)
-    if not mm.instances:
+    if not len(mm.instances):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     Z = np.zeros((g.node_count, dim), dtype=np.float64)
@@ -426,12 +426,13 @@ def rank_typed_graphlets(
     skipped: list[TypedGraphletSignature] = []
     for sig in sigs:
         mm = build_motif_matrix(g, sig)
-        if not mm.instances:
+        if not len(mm.instances):
             skipped.append(sig)
             continue
-        comps = _covered_components(mm.induced_graph())
+        gH = mm.induced_graph()
+        comps = _covered_components(gH)
         comps.sort(key=lambda c: (-len(c), c[0]))
-        lap = build_normalized_laplacian(mm.induced_graph(), comps[0])
+        lap = build_normalized_laplacian(gH, comps[0])
         lam2 = smallest_eigenpairs(lap, 2, dense_threshold)[1].value
         ranked.append(
             MotifRank(sig, lam2, sig.skeleton.edge_count, _beta_factor(lam2, sig.skeleton.edge_count))

@@ -1,3 +1,5 @@
+import weakref
+
 import pytest
 
 from typedgraphlets import (
@@ -6,17 +8,18 @@ from typedgraphlets import (
     UnknownTypeError,
     brute_force_all_instances,
     brute_force_instances,
+    build_motif_matrix,
     census,
     enumerate_instances,
-    enumerate_typed_instances,
     format_signature,
     instances_matching,
     parse_signature_spec,
-    per_edge_instance_counts,
     permute_graph,
+    rank_typed_graphlets,
     resolve_skeleton,
     signature_of,
 )
+from typedgraphlets import graphlets
 from typedgraphlets.graphlets import _automorphism_perms
 
 from conftest import barbell, make_graph, random_graph
@@ -90,12 +93,12 @@ def test_enumeration_matches_oracle_on_random_graphs():
 def test_instance_edges_are_graph_edges():
     g = random_graph(3, 12, 0.35)
     for name in SKELETONS:
-        for inst in enumerate_typed_instances(g, name):
+        for nodes in enumerate_instances(g, name):
             skel = SKELETONS[name]
             induced = [
                 (u, v)
-                for i, u in enumerate(inst.nodes)
-                for v in inst.nodes[i + 1:]
+                for i, u in enumerate(nodes)
+                for v in nodes[i + 1:]
                 if g.has_edge(u, v)
             ]
             assert len(induced) == skel.edge_count
@@ -165,14 +168,14 @@ def test_census_count_invariant_under_relabeling():
 def test_per_edge_counts_k3_triangle():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
     sig = parse_signature_spec(g, "triangle:U,U,U")
-    assert per_edge_instance_counts(g, sig) == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
+    assert build_motif_matrix(g, sig).weights == {(0, 1): 1, (0, 2): 1, (1, 2): 1}
 
 
 def test_per_edge_counts_typed_wedge_path():
     g = make_graph(3, [(0, 1), (1, 2)], node_types=[0, 1, 0],
                    node_type_names=("U", "M"))
     sig = parse_signature_spec(g, "wedge:U,M,U")
-    counts = per_edge_instance_counts(g, sig)
+    counts = build_motif_matrix(g, sig).weights
     assert counts == {(0, 1): 1, (1, 2): 1}
 
 
@@ -180,7 +183,7 @@ def test_per_edge_counts_shared_edge_diamond():
     # two triangles sharing edge (0, 1)
     g = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     sig = TypedGraphletSignature(SKELETONS["triangle"])
-    counts = per_edge_instance_counts(g, sig)
+    counts = build_motif_matrix(g, sig).weights
     assert counts[(0, 1)] == 2
     for e in [(0, 2), (1, 2), (0, 3), (1, 3)]:
         assert counts[e] == 1
@@ -192,8 +195,8 @@ def test_per_edge_counts_permutation_equivariant():
     order = [8, 0, 7, 1, 6, 2, 5, 3, 4]
     h = permute_graph(g, order)
     pos = {old: new for new, old in enumerate(order)}
-    counts_g = per_edge_instance_counts(g, sig)
-    counts_h = per_edge_instance_counts(h, sig)
+    counts_g = build_motif_matrix(g, sig).weights
+    counts_h = build_motif_matrix(h, sig).weights
     remapped = {tuple(sorted((pos[u], pos[v]))): c for (u, v), c in counts_g.items()}
     assert remapped == counts_h
 
@@ -205,11 +208,11 @@ def test_signature_multiset_merges_centers_strict_splits():
                      node_type_names=("U", "M"))
     muu = make_graph(3, [(0, 1), (1, 2)], node_types=[1, 0, 0],
                      node_type_names=("U", "M"))
-    sig_a = next(enumerate_typed_instances(umu, "wedge")).signature
-    sig_b = next(enumerate_typed_instances(muu, "wedge")).signature
+    sig_a = next(iter(census(umu, ["wedge"])))
+    sig_b = next(iter(census(muu, ["wedge"])))
     assert sig_a == sig_b  # same node-type multiset {M,U,U}
-    strict_a = next(enumerate_typed_instances(umu, "wedge", "strict")).signature
-    strict_b = next(enumerate_typed_instances(muu, "wedge", "strict")).signature
+    strict_a = next(iter(census(umu, ["wedge"], "strict")))
+    strict_b = next(iter(census(muu, ["wedge"], "strict")))
     assert strict_a != strict_b  # M-centred wedge differs from U-centred
 
 
@@ -261,10 +264,45 @@ def test_strict_spec_canonicalizes_orientation():
 def test_format_signature_sorted_labels():
     g = make_graph(3, [(0, 1), (1, 2)], node_types=[0, 1, 0],
                    node_type_names=("U", "M"))
-    sig = next(enumerate_typed_instances(g, "wedge")).signature
+    sig = next(iter(census(g, ["wedge"])))
     assert format_signature(sig, g) == "wedge[M,U,U]"
 
 
 def test_barbell_has_two_triangles():
     g = barbell()
     assert enumerate_instances(g, "triangle") == [(0, 1, 2), (3, 4, 5)]
+
+
+# ---------------------------------------------------------------- occurrence tables
+
+def test_census_and_ranking_enumerate_each_skeleton_once(monkeypatch):
+    calls: dict[str, int] = {}
+    enumerate_original = graphlets.enumerate_instances
+    four_original = graphlets._four_node_sets
+
+    def counting_enumerate(g, skel):
+        name = resolve_skeleton(skel).name
+        calls[name] = calls.get(name, 0) + 1
+        return enumerate_original(g, skel)
+
+    def counting_four(*args):
+        calls["4-node"] = calls.get("4-node", 0) + 1
+        return four_original(*args)
+
+    monkeypatch.setattr(graphlets, "enumerate_instances", counting_enumerate)
+    monkeypatch.setattr(graphlets, "_four_node_sets", counting_four)
+    g = random_graph(7, 14, 0.35, n_type_count=2)
+    table = census(g)
+    rank_typed_graphlets(g, list(table))
+    census(g, typing_mode="set")
+    assert calls == {"wedge": 1, "triangle": 1, "4-node": 1}
+
+
+def test_occurrence_tables_die_with_their_graph():
+    g = random_graph(8, 12, 0.4, n_type_count=2)
+    census(g)
+    census(g, skels=["edge"], typing_mode="strict")
+    build_motif_matrix(g, TypedGraphletSignature(SKELETONS["wedge"]))
+    ref = weakref.ref(g)
+    del g
+    assert ref() is None
