@@ -7,6 +7,8 @@ from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import DegenerateCutError, EdgeListFormatError, ZeroVolumeError
 
@@ -154,8 +156,10 @@ class WeightedGraph:
     """Symmetric nonnegative edge weights over dense integer nodes.
 
     Zero-weight pairs are dropped from the support; negative weights are
-    rejected. Weighted degrees are kept as exact integers whenever every
-    weight is integral.
+    rejected. ``weights`` maps each support pair (u, v), u < v, to its
+    weight; ``pairs`` is the (nnz, 2) array of those keys in ``weights``
+    order and ``pair_weights`` their weights. Weights and weighted degrees
+    are kept as exact integers whenever every weight is integral.
     """
 
     def __init__(self, node_count: int, weights: Mapping[tuple[int, int], float]):
@@ -177,19 +181,11 @@ class WeightedGraph:
         self.weights = norm
         integral = all(float(w).is_integer() for w in norm.values())
         dtype = np.int64 if integral else np.float64
-        deg = np.zeros(node_count, dtype=dtype)
-        for (u, v), w in norm.items():
-            deg[u] += w
-            deg[v] += w
-        self.degrees = deg
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        nbrs: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
-        for (u, v), w in self.weights.items():
-            nbrs[u].append((v, w))
-            nbrs[v].append((u, w))
-        return tuple(tuple(sorted(lst)) for lst in nbrs)
+        self.pairs = np.array(list(norm), dtype=np.int64).reshape(-1, 2)
+        self.pair_weights = np.array(list(norm.values()), dtype=dtype)
+        deg = np.bincount(self.pairs.ravel(), np.repeat(self.pair_weights, 2),
+                          minlength=node_count)
+        self.degrees = deg.astype(dtype)
 
     @property
     def total_volume(self):
@@ -310,21 +306,14 @@ def connected_components(g: WeightedGraph) -> tuple[np.ndarray, int]:
     contains, so the labelling is canonical. Zero-degree nodes come out as
     singleton components.
     """
-    labels = np.full(g.node_count, -1, dtype=np.int64)
-    current = 0
-    for start in range(g.node_count):
-        if labels[start] != -1:
-            continue
-        labels[start] = current
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v, _w in g.adjacency[u]:
-                if labels[v] == -1:
-                    labels[v] = current
-                    stack.append(v)
-        current += 1
-    return labels, current
+    n = g.node_count
+    u, v = g.pairs.T
+    support = sp.coo_matrix((np.ones(len(u)), (u, v)), shape=(n, n))
+    count, raw = csgraph.connected_components(support, directed=False)
+    _, first = np.unique(raw, return_index=True)
+    canon = np.empty(count, dtype=np.int64)
+    canon[np.argsort(first)] = np.arange(count)
+    return canon[raw], count
 
 
 def _validate_cut(node_count: int, s: Iterable[int]) -> frozenset:
@@ -428,9 +417,8 @@ def brute_force_min_weighted_conductance(
     _check_cut_search_size(g.node_count, max_nodes)
     if g.degrees.dtype != np.int64:
         raise ValueError("exact brute force requires integer weights")
-    us = np.array([u for (u, v) in g.weights], dtype=np.uint32)
-    vs = np.array([v for (u, v) in g.weights], dtype=np.uint32)
-    ws = np.array([w for w in g.weights.values()], dtype=np.int64)
+    us, vs = g.pairs.astype(np.uint32).T
+    ws = g.pair_weights
 
     def cut_of(bits: int) -> int:
         sb = np.uint32(bits)

@@ -193,16 +193,20 @@ def signature_of(
     return TypedGraphletSignature(skel, best[0], best[1], "strict")
 
 
-def _triangles_and_wedges(g: HeteroGraph) -> tuple[list[tuple], list[tuple]]:
-    """Induced triangles (sorted triples) and wedges as (center, a, b), a<b."""
+def _triangles(g: HeteroGraph) -> list[tuple]:
+    """Induced triangles as sorted triples."""
     adj = g.adjacency
     triangles = []
     for u, v in g.edges:
-        if u > v:
-            u, v = v, u
         for w in adj[u] & adj[v]:
             if w > v:
                 triangles.append((u, v, w))
+    return triangles
+
+
+def _wedges(g: HeteroGraph) -> list[tuple]:
+    """Induced wedges as (center, a, b), a < b."""
+    adj = g.adjacency
     wedges = []
     for c in range(g.node_count):
         nbrs = sorted(adj[c])
@@ -212,7 +216,7 @@ def _triangles_and_wedges(g: HeteroGraph) -> tuple[list[tuple], list[tuple]]:
                 b = nbrs[j]
                 if b not in adj[a]:
                     wedges.append((c, a, b))
-    return triangles, wedges
+    return wedges
 
 
 def _four_node_sets(
@@ -278,17 +282,16 @@ def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
     skel = resolve_skeleton(skel)
     if skel.name == "edge":
         return sorted(g.edges)
-    triangles, wedges = _triangles_and_wedges(g)
     if skel.name == "triangle":
-        return sorted(triangles)
+        return sorted(_triangles(g))
     if skel.name == "wedge":
-        return sorted(tuple(sorted(w)) for w in wedges)
-    return _four_node_sets(g, triangles, wedges)[skel.name]
+        return sorted(tuple(sorted(w)) for w in _wedges(g))
+    return _four_node_sets(g, _triangles(g), _wedges(g))[skel.name]
 
 
 def enumerate_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
     """Occurrence node sets for every catalog skeleton in one pass."""
-    triangles, wedges = _triangles_and_wedges(g)
+    triangles, wedges = _triangles(g), _wedges(g)
     out = {
         "edge": sorted(g.edges),
         "wedge": sorted(tuple(sorted(w)) for w in wedges),
@@ -312,7 +315,7 @@ def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
     tables = _TABLES.setdefault(g, {})
     if skel.name not in tables:
         if skel.node_count == 4:
-            found = _four_node_sets(g, *_triangles_and_wedges(g))
+            found = _four_node_sets(g, _triangles(g), _wedges(g))
         else:
             found = {skel.name: enumerate_instances(g, skel)}
         for name, nodes in found.items():

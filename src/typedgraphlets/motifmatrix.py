@@ -45,10 +45,10 @@ class MotifMatrix:
         return WeightedGraph(self.graph.node_count, self.weights)
 
     def covered_nodes(self) -> list[int]:
-        return [v for v in range(self.graph.node_count) if self.degrees[v] > 0]
+        return np.flatnonzero(self.degrees > 0).tolist()
 
     def uncovered_nodes(self) -> list[int]:
-        return [v for v in range(self.graph.node_count) if self.degrees[v] == 0]
+        return np.flatnonzero(self.degrees == 0).tolist()
 
     def dump(self) -> str:
         """Coordinate-triple dump: header ``n nnz`` then ``i j w`` lines."""
@@ -188,35 +188,35 @@ def build_normalized_laplacian(
     """Normalized Laplacian of ``wg`` restricted to ``nodes`` (default: all).
 
     Rows with zero degree inside the restriction are excluded; D^{-1/2} is
-    undefined there.
+    undefined there. Ids outside the graph have no degree and are excluded
+    the same way.
     """
-    if nodes is None:
-        nodes = range(wg.node_count)
-    keep = sorted(set(nodes))
-    keep_set = set(keep)
-    deg = {v: 0.0 for v in keep}
-    entries = []
-    for (u, v), w in wg.weights.items():
-        if u in keep_set and v in keep_set:
-            deg[u] += w
-            deg[v] += w
-            entries.append((u, v, w))
-    kept = [v for v in keep if deg[v] > 0]
-    if not kept:
+    n = wg.node_count
+    keep = np.arange(n) if nodes is None else np.unique(np.asarray(nodes, dtype=np.int64))
+    keep = keep[(keep >= 0) & (keep < n)]
+    inside = np.zeros(n, dtype=bool)
+    inside[keep] = True
+    sel = inside[wg.pairs[:, 0]] & inside[wg.pairs[:, 1]]
+    pairs, w = wg.pairs[sel], wg.pair_weights[sel]
+    deg = np.bincount(pairs.ravel(), np.repeat(w, 2), minlength=n)
+    kept = keep[deg[keep] > 0]
+    if not len(kept):
         raise GraphletAbsentError("graphlet absent from graph: empty matrix support")
-    index = {v: i for i, v in enumerate(kept)}
-    inv_sqrt = {v: 1.0 / np.sqrt(deg[v]) for v in kept}
     dim = len(kept)
-    rows = list(range(dim))
-    cols = list(range(dim))
-    data = [1.0] * dim
-    for u, v, w in entries:
-        val = -w * inv_sqrt[u] * inv_sqrt[v]
-        rows.extend((index[u], index[v]))
-        cols.extend((index[v], index[u]))
-        data.extend((val, val))
+    index = np.zeros(n, dtype=np.int64)
+    index[kept] = np.arange(dim)
+    inv_sqrt = np.zeros(n)
+    inv_sqrt[kept] = 1.0 / np.sqrt(deg[kept])
+    u, v = pairs.T
+    # One value per pair, u < v, for both triangles keeps the matrix
+    # bitwise symmetric.
+    val = -w * inv_sqrt[u] * inv_sqrt[v]
+    diag = np.arange(dim)
+    rows = np.concatenate([diag, np.column_stack([index[u], index[v]]).ravel()])
+    cols = np.concatenate([diag, np.column_stack([index[v], index[u]]).ravel()])
+    data = np.concatenate([np.ones(dim), np.repeat(val, 2)])
     mat = sp.csr_matrix((data, (rows, cols)), shape=(dim, dim))
-    return NormalizedLaplacian(mat, np.array(kept, dtype=np.int64))
+    return NormalizedLaplacian(mat, kept)
 
 
 def normalized_laplacian(mm: MotifMatrix) -> NormalizedLaplacian:

@@ -118,40 +118,33 @@ def sweep_cut(
 
     ``nodes`` (default: every node of ``gH``) must be ascending and aligned
     with ``v2``. The ordering sorts v2 ascending with ties going to the
-    lower node id. Each edge contributes to the running cut when its first
-    endpoint enters the prefix and stops counting when the second one does;
+    lower node id. The cut of the first k ordered nodes is their volume
+    minus twice the weight of the pairs with both endpoints among them, a
+    pair joining the prefix at the later sweep position of its endpoints;
     volumes are taken over all of ``gH``, so sweeping one connected
     component of a larger graph scores prefixes against the full volume.
     Profile ties resolve to the smallest k.
     """
-    if nodes is None:
-        nodes = list(range(gH.node_count))
-    else:
-        nodes = [int(v) for v in nodes]
+    nodes = np.arange(gH.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
     if len(nodes) < 2:
         raise ValueError("sweep needs at least 2 nodes")
     if len(v2) != len(nodes):
         raise ValueError("eigenvector length does not match node count")
-    if any(a >= b for a, b in zip(nodes, nodes[1:])):
+    if np.any(np.diff(nodes) <= 0):
         raise ValueError("nodes must be ascending so ties break toward lower ids")
-    order_idx = np.argsort(np.asarray(v2, dtype=np.float64), kind="stable")
-    order = [int(nodes[i]) for i in order_idx]
-    total = int(gH.total_volume) if gH.degrees.dtype == np.int64 else float(gH.total_volume)
-    in_prefix = np.zeros(gH.node_count, dtype=bool)
-    cut = 0
-    vol = 0
-    profile = np.empty(len(order) - 1, dtype=np.float64)
-    for pos, v in enumerate(order):
-        inward = sum(w for nbr, w in gH.adjacency[v] if in_prefix[nbr])
-        deg_v = int(gH.degrees[v]) if gH.degrees.dtype == np.int64 else float(gH.degrees[v])
-        cut += deg_v - 2 * inward
-        vol += deg_v
-        in_prefix[v] = True
-        if pos < len(order) - 1:
-            denom = min(vol, total - vol)
-            if denom <= 0:
-                raise ZeroVolumeError("sweep prefix has a zero-volume side")
-            profile[pos] = cut / denom
+    order = nodes[np.argsort(np.asarray(v2, dtype=np.float64), kind="stable")]
+    pos = np.full(gH.node_count, len(order))
+    pos[order] = np.arange(len(order))
+    joins = np.maximum(pos[gH.pairs[:, 0]], pos[gH.pairs[:, 1]])
+    swept = joins < len(order)
+    inner = np.bincount(joins[swept], gH.pair_weights[swept], minlength=len(order))
+    vol = np.cumsum(gH.degrees[order])
+    cut = vol - 2 * np.cumsum(inner.astype(gH.degrees.dtype))
+    denom = np.minimum(vol, gH.total_volume - vol)[:-1]
+    if np.any(denom <= 0):
+        raise ZeroVolumeError("sweep prefix has a zero-volume side")
+    profile = cut[:-1] / denom
+    order = order.tolist()
     best_idx = int(np.argmin(profile))
     prefix = order[: best_idx + 1]
     rest = order[best_idx + 1 :]
@@ -189,10 +182,9 @@ class ClusterResult:
 
 def _covered_components(gH: WeightedGraph) -> list[list[int]]:
     labels, count = connected_components(gH)
-    comps: list[list[int]] = [[] for _ in range(count)]
-    for v in range(gH.node_count):
-        comps[labels[v]].append(v)
-    return [c for c in comps if len(c) >= 2]
+    members = np.argsort(labels, kind="stable")
+    comps = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    return [c.tolist() for c in comps if len(c) >= 2]
 
 
 def _beta_factor(lambda2: float, edge_count: int) -> float:

@@ -108,6 +108,24 @@ def two_relation_planted_partition(block_sizes, p_in, p_out, type_count, seed):
     ), blocks
 
 
+def random_integer_weights(seed, n, blocks, p):
+    """Seeded integer weights on pairs inside randomly assigned blocks.
+
+    Pairs across blocks get no weight, so the support splits into several
+    components and some nodes stay isolated. About one weight in ten is an
+    explicit 0, and keys come in either orientation.
+    """
+    rng = random.Random(seed)
+    block = [rng.randrange(blocks) for _ in range(n)]
+    weights = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if block[i] == block[j] and rng.random() < p:
+                key = (i, j) if rng.random() < 0.5 else (j, i)
+                weights[key] = 0 if rng.random() < 0.1 else rng.randint(1, 9)
+    return weights
+
+
 def connected_random_graph(seed, n, p, n_type_count=1):
     """Seeded G(n, p) resampled until connected."""
     while True:

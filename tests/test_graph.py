@@ -20,7 +20,7 @@ from typedgraphlets import (
     weighted_volume,
 )
 
-from conftest import barbell, make_graph, random_graph
+from conftest import barbell, make_graph, random_graph, random_integer_weights
 
 
 # ---------------------------------------------------------------- loading
@@ -116,6 +116,30 @@ def test_components_empty_graph_is_singletons():
     labels, count = connected_components(wg)
     assert count == 4
     assert list(labels) == [0, 1, 2, 3]
+
+
+def test_components_match_union_find_labels():
+    # Labels themselves, not only the partition: component c is the one whose
+    # smallest member is the c-th smallest among the components' minima.
+    for seed in range(20):
+        n = 30
+        weights = random_integer_weights(seed, n, blocks=5, p=0.15)
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for (u, v), w in weights.items():
+            if w > 0:
+                parent[find(u)] = find(v)
+        canon: dict[int, int] = {}
+        expected = [canon.setdefault(find(v), len(canon)) for v in range(n)]
+        labels, count = connected_components(WeightedGraph(n, weights))
+        assert labels.tolist() == expected, seed
+        assert count == len(canon)
 
 
 def test_components_canonical_under_permutation():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -9,12 +10,14 @@ from typedgraphlets import (
     GraphletAbsentError,
     SKELETONS,
     TypedGraphletSignature,
+    WeightedGraph,
     ZeroVolumeError,
     brute_force_instances,
     brute_force_min_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
     census,
+    connected_components,
     edge_expansion_measure,
     normalized_laplacian,
     parse_signature_spec,
@@ -29,7 +32,7 @@ from typedgraphlets import (
 )
 from typedgraphlets.graphlets import _induced_edges
 
-from conftest import barbell, make_graph, random_graph
+from conftest import barbell, make_graph, random_graph, random_integer_weights
 
 
 def tri_sig():
@@ -262,6 +265,40 @@ def test_build_normalized_laplacian_on_component_subset():
     assert lap.dim == 3
     vals = np.linalg.eigvalsh(lap.matrix.toarray())
     assert vals == pytest.approx([0.0, 1.5, 1.5], abs=1e-12)
+
+
+def test_laplacian_entries_match_dense_oracle_exactly():
+    # I - D^{-1/2} W D^{-1/2} built densely from the weights dict with one
+    # value -w * s[u] * s[v] per pair u < v, on the whole graph, on each
+    # component and on one with ids outside the graph (they have no degree);
+    # compared with ==, and the matrix must be bitwise symmetric.
+    for seed in range(20):
+        wg = WeightedGraph(24, random_integer_weights(seed, 24, blocks=3, p=0.5))
+        labels, count = connected_components(wg)
+        comps = [np.flatnonzero(labels == c).tolist() for c in range(count)]
+        for nodes in [None, comps[0] + [-1, 24]] + comps:
+            keep = set(range(wg.node_count) if nodes is None else nodes)
+            inner = {(u, v): w for (u, v), w in wg.weights.items() if u in keep and v in keep}
+            deg = dict.fromkeys(keep, 0)
+            for (u, v), w in inner.items():
+                deg[u] += w
+                deg[v] += w
+            kept = sorted(v for v in keep if deg[v] > 0)
+            if not kept:
+                with pytest.raises(GraphletAbsentError):
+                    build_normalized_laplacian(wg, nodes)
+                continue
+            index = {v: i for i, v in enumerate(kept)}
+            s = {v: 1.0 / math.sqrt(deg[v]) for v in kept}
+            expected = np.eye(len(kept))
+            for (u, v), w in inner.items():
+                expected[index[u], index[v]] = -w * s[u] * s[v]
+                expected[index[v], index[u]] = -w * s[u] * s[v]
+            lap = build_normalized_laplacian(wg, nodes)
+            dense = lap.matrix.toarray()
+            assert lap.nodes.tolist() == kept
+            assert (dense == expected).all(), (seed, nodes)
+            assert (dense == dense.T).all(), (seed, nodes)
 
 
 def test_motif_matrix_matches_oracle_counts_in_every_typing_mode():

@@ -9,11 +9,13 @@ from typedgraphlets import (
     GraphletAbsentError,
     SKELETONS,
     TypedGraphletSignature,
+    WeightedGraph,
     brute_force_min_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
     census,
     cluster,
+    connected_components,
     normalized_laplacian,
     parse_signature_spec,
     permute_graph,
@@ -24,6 +26,7 @@ from typedgraphlets import (
     spectral_ordering,
     sweep_cut,
     weighted_conductance,
+    weighted_cut,
 )
 
 from conftest import (
@@ -31,6 +34,7 @@ from conftest import (
     connected_random_graph,
     make_graph,
     random_graph,
+    random_integer_weights,
     reference_edge_sweep,
     top_signature,
 )
@@ -156,6 +160,31 @@ def test_sweep_profile_matches_direct_recomputation():
             prefix = set(sw.order[:k])
             direct = weighted_conductance(gH, prefix)
             assert sw.profile[k - 1] == pytest.approx(direct, abs=1e-12)
+
+
+def test_sweep_profile_equals_dict_route_exactly_on_each_component():
+    # Integer weights keep every prefix cut and volume exact, so each profile
+    # entry must equal cut / min(vol, total - vol) summed from the weights
+    # dict, with ==. The vector has ties, which go to the lower node id.
+    for seed in range(20):
+        wg = WeightedGraph(24, random_integer_weights(seed, 24, blocks=3, p=0.4))
+        labels, count = connected_components(wg)
+        total = 2 * sum(wg.weights.values())
+        rng = random.Random(seed)
+        for c in range(count):
+            comp = np.flatnonzero(labels == c).tolist()
+            if len(comp) < 2:
+                continue
+            v2 = np.array([float(rng.randrange(4)) for _ in comp])
+            sw = sweep_cut(wg, v2, nodes=comp)
+            key = dict(zip(comp, v2))
+            assert sw.order == sorted(comp, key=lambda v: (key[v], v))
+            for k in range(1, len(comp)):
+                prefix = sw.order[:k]
+                vol = sum(w * ((u in prefix) + (v in prefix))
+                          for (u, v), w in wg.weights.items())
+                assert sw.profile[k - 1] == weighted_cut(wg, prefix) / min(vol, total - vol)
+            assert sw.best_k == int(np.argmin(sw.profile)) + 1
 
 
 def test_sweep_requires_two_nodes():
