@@ -108,6 +108,22 @@ class HeteroGraph:
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
 
+    @cached_property
+    def sorted_edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edge keys ``u * n + v`` (u < v), ascending, and their edge types."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        keys = ends[:, 0] * self.node_count + ends[:, 1]
+        order = np.argsort(keys)
+        return keys[order], np.array(self.edge_types, dtype=np.int64)[order]
+
+    def pair_edge_types(self, keys: np.ndarray) -> np.ndarray:
+        """Edge type of each pair key ``u * n + v`` (u < v); -1 for a non-edge."""
+        edge_keys, edge_types = self.sorted_edge_keys
+        if not len(edge_keys):
+            return np.full(np.shape(keys), -1, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        return np.where(edge_keys[pos] == keys, edge_types[pos], -1)
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency[u]
 
@@ -178,14 +194,33 @@ class WeightedGraph:
             if key in norm and norm[key] != w:
                 raise ValueError(f"conflicting weights for {key}")
             norm[key] = w
-        self.weights = norm
         integral = all(float(w).is_integer() for w in norm.values())
-        dtype = np.int64 if integral else np.float64
-        self.pairs = np.array(list(norm), dtype=np.int64).reshape(-1, 2)
-        self.pair_weights = np.array(list(norm.values()), dtype=dtype)
-        deg = np.bincount(self.pairs.ravel(), np.repeat(self.pair_weights, 2),
-                          minlength=node_count)
-        self.degrees = deg.astype(dtype)
+        self._set_pairs(norm, np.array(list(norm), dtype=np.int64).reshape(-1, 2),
+                        np.array(list(norm.values()), dtype=np.int64 if integral else np.float64))
+
+    @classmethod
+    def from_pairs(cls, node_count: int, pairs: np.ndarray,
+                   pair_weights: np.ndarray) -> "WeightedGraph":
+        """Build from pair arrays that are already valid, without re-checking.
+
+        ``pairs`` is an int64 (nnz, 2) array of distinct (u, v), u < v, in
+        range; ``pair_weights`` holds their positive weights, int64 when
+        integral. The result equals ``WeightedGraph(node_count, weights)``
+        for the same pairs in the same order.
+        """
+        wg = cls.__new__(cls)
+        wg.node_count = node_count
+        keys = zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
+        weights = dict(zip(keys, pair_weights.tolist()))
+        wg._set_pairs(weights, pairs, pair_weights)
+        return wg
+
+    def _set_pairs(self, weights: dict, pairs: np.ndarray, pair_weights: np.ndarray) -> None:
+        self.weights = weights
+        self.pairs = pairs
+        self.pair_weights = pair_weights
+        deg = np.bincount(pairs.ravel(), np.repeat(pair_weights, 2), minlength=self.node_count)
+        self.degrees = deg.astype(pair_weights.dtype)
 
     @property
     def total_volume(self):

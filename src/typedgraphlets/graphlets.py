@@ -158,7 +158,11 @@ def signature_of(
     skel: Skeleton,
     typing_mode: str = "multiset",
 ) -> TypedGraphletSignature:
-    """Signature of the induced occurrence of ``skel`` on ``nodes``."""
+    """Signature of the induced occurrence of ``skel`` on ``nodes``.
+
+    One occurrence at a time, from the adjacency sets and the edge index:
+    the oracle for the vectorised typing of ``_signature_column``.
+    """
     nodes = tuple(sorted(nodes))
     edges = _induced_edges(g, nodes)
     ntypes = [g.node_types[v] for v in nodes]
@@ -325,19 +329,88 @@ def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
     return tables[skel.name]
 
 
+def _row_pair_keys(g: HeteroGraph, rows: np.ndarray) -> np.ndarray:
+    """Keys ``u * n + v`` of every node pair (u, v) of each ascending row.
+
+    Column j holds the j-th pair of ``combinations(range(k), 2)``.
+    """
+    ends = rows.astype(np.int64)
+    return np.column_stack([ends[:, a] * g.node_count + ends[:, b]
+                            for a, b in combinations(range(rows.shape[1]), 2)])
+
+
+def _type_keys(g: HeteroGraph, skel: Skeleton, rows: np.ndarray, typing_mode: str,
+               sentinel: int) -> np.ndarray:
+    """One key row per occurrence: k node-type, then |E(skel)| edge-type columns.
+
+    Two rows are equal exactly when ``signature_of`` gives the two
+    occurrences equal signatures. Each node pair of a row is looked up in
+    the graph's sorted edge keys; a non-edge reads -1. ``sentinel`` exceeds
+    every type id: set mode pads its distinct types with it, and strict mode
+    fills with it the candidate labellings that do not map every skeleton
+    edge onto an edge.
+    """
+    k, m = skel.node_count, skel.edge_count
+    node_types = np.asarray(g.node_types, dtype=np.int64)[rows]
+    pair_cols = {pair: i for i, pair in enumerate(combinations(range(k), 2))}
+    pair_types = g.pair_edge_types(_row_pair_keys(g, rows))
+    if typing_mode == "multiset":
+        return np.hstack([np.sort(node_types, axis=1), np.sort(pair_types, axis=1)[:, -m:]])
+    if typing_mode == "set":
+        blocks = [np.sort(node_types, axis=1), np.sort(pair_types, axis=1)[:, -m:]]
+        for block in blocks:
+            block[:, 1:][block[:, 1:] == block[:, :-1]] = sentinel
+            block.sort(axis=1)
+        return np.hstack(blocks)
+    # strict: the smallest (node types, edge types) over every labelling p
+    # that maps the skeleton onto the occurrence, compared column by column.
+    best = np.full((len(rows), k + m), sentinel, dtype=np.int64)
+    at = np.arange(len(rows))
+    for p in permutations(range(k)):
+        edge_types = pair_types[:, [pair_cols[min(p[u], p[v]), max(p[u], p[v])]
+                                    for u, v in skel.edges]]
+        cand = np.hstack([node_types[:, list(p)], edge_types])
+        cand[(edge_types < 0).any(axis=1)] = sentinel
+        first = (cand != best).argmax(axis=1)
+        less = cand[at, first] < best[at, first]
+        best[less] = cand[less]
+    return best
+
+
 def _signature_column(
     g: HeteroGraph, skel: Skeleton, typing_mode: str
 ) -> tuple[np.ndarray, list[TypedGraphletSignature]]:
-    """Per-row index into the signatures of ``skel``, in first-seen order."""
+    """Per-row index into the signatures of ``skel``, in first-seen order.
+
+    Rows are grouped by their type keys with one stable lexsort; a group's
+    id is the rank of its first row.
+    """
     tables = _TABLES.setdefault(g, {})
     key = (skel.name, typing_mode)
     if key not in tables:
-        interned: dict[TypedGraphletSignature, int] = {}
-        ids = [
-            interned.setdefault(signature_of(g, nodes, skel, typing_mode), len(interned))
-            for nodes in _occurrence_rows(g, skel).tolist()
+        rows = _occurrence_rows(g, skel)
+        sentinel = max(g.node_type_count, g.edge_type_count)
+        keys = _type_keys(g, skel, rows, typing_mode, sentinel)
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        starts = np.ones(len(rows), dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        firsts = order[starts]
+        rank = np.empty(len(firsts), dtype=np.int32)
+        rank[np.argsort(firsts)] = np.arange(len(firsts))
+        ids = np.empty(len(rows), dtype=np.int32)
+        ids[order] = rank[np.cumsum(starts) - 1]
+        k = skel.node_count
+        sigs = [
+            TypedGraphletSignature(
+                skel,
+                tuple(t for t in row[:k] if t != sentinel),
+                tuple(t for t in row[k:] if t != sentinel),
+                typing_mode,
+            )
+            for row in keys[np.sort(firsts)].tolist()
         ]
-        tables[key] = (np.array(ids, dtype=np.int32), list(interned))
+        tables[key] = (ids, sigs)
     return tables[key]
 
 

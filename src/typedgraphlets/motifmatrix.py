@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,23 +25,30 @@ from .graph import (
     _min_conductance_cut,
     _validate_cut,
 )
-from .graphlets import TypedGraphletSignature, instances_matching
+from .graphlets import TypedGraphletSignature, instances_matching, _row_pair_keys
 
 BRUTE_FORCE_MAX_CUT_NODES = 20
 
 
 @dataclass
 class MotifMatrix:
-    """W, its degree vector, and the occurrence rows it was built from."""
+    """W as a weighted graph, and the occurrence rows it was built from."""
 
     graph: HeteroGraph
     signature: TypedGraphletSignature
-    weights: dict[tuple[int, int], int]
-    degrees: np.ndarray
+    motif_graph: WeightedGraph
     instances: np.ndarray
 
+    @property
+    def weights(self) -> dict[tuple[int, int], int]:
+        return self.motif_graph.weights
+
+    @property
+    def degrees(self) -> np.ndarray:
+        return self.motif_graph.degrees
+
     def induced_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.graph.node_count, self.weights)
+        return self.motif_graph
 
     def covered_nodes(self) -> list[int]:
         return np.flatnonzero(self.degrees > 0).tolist()
@@ -81,16 +87,10 @@ def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatr
     """
     rows = instances_matching(g, sig)
     n = g.node_count
-    pairs = [rows[:, a].astype(np.int64) * n + rows[:, b]
-             for a, b in combinations(range(rows.shape[1]), 2)]
-    edges = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-    keys = np.concatenate(pairs)
-    keys, counts = np.unique(keys[np.isin(keys, edges[:, 0] * n + edges[:, 1])],
-                             return_counts=True)
-    us, vs = np.divmod(keys, n)
-    weights = dict(zip(zip(us.tolist(), vs.tolist()), counts.tolist()))
-    degrees = np.bincount(np.concatenate([us, vs]), np.tile(counts, 2), minlength=n)
-    return MotifMatrix(g, sig, weights, degrees.astype(np.int64), rows)
+    keys = _row_pair_keys(g, rows).ravel()
+    keys, counts = np.unique(keys[g.pair_edge_types(keys) >= 0], return_counts=True)
+    pairs = np.column_stack(np.divmod(keys, n))
+    return MotifMatrix(g, sig, WeightedGraph.from_pairs(n, pairs, counts.astype(np.int64)), rows)
 
 
 def typed_degree(mm: MotifMatrix, v: int) -> int:

@@ -116,14 +116,14 @@ def sweep_cut(
 ) -> SweepResult:
     """Minimum-conductance prefix of the second-eigenvector ordering.
 
-    ``nodes`` (default: every node of ``gH``) must be ascending and aligned
-    with ``v2``. The ordering sorts v2 ascending with ties going to the
-    lower node id. The cut of the first k ordered nodes is their volume
-    minus twice the weight of the pairs with both endpoints among them, a
-    pair joining the prefix at the later sweep position of its endpoints;
-    volumes are taken over all of ``gH``, so sweeping one connected
-    component of a larger graph scores prefixes against the full volume.
-    Profile ties resolve to the smallest k.
+    ``nodes`` (default: every node of ``gH``) must be ascending node ids of
+    ``gH`` and aligned with ``v2``. The ordering sorts v2 ascending with ties
+    going to the lower node id. The cut of the first k ordered nodes is
+    their volume minus twice the weight of the pairs with both endpoints
+    among them, a pair joining the prefix at the later sweep position of its
+    endpoints; volumes are taken over all of ``gH``, so sweeping one
+    connected component of a larger graph scores prefixes against the full
+    volume. Profile ties resolve to the smallest k.
     """
     nodes = np.arange(gH.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
     if len(nodes) < 2:
@@ -132,6 +132,8 @@ def sweep_cut(
         raise ValueError("eigenvector length does not match node count")
     if np.any(np.diff(nodes) <= 0):
         raise ValueError("nodes must be ascending so ties break toward lower ids")
+    if nodes[0] < 0 or nodes[-1] >= gH.node_count:
+        raise ValueError(f"node ids must lie in 0..{gH.node_count - 1}")
     order = nodes[np.argsort(np.asarray(v2, dtype=np.float64), kind="stable")]
     pos = np.full(gH.node_count, len(order))
     pos[order] = np.arange(len(order))

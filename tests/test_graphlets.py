@@ -20,7 +20,7 @@ from typedgraphlets import (
     signature_of,
 )
 from typedgraphlets import graphlets
-from typedgraphlets.graphlets import _automorphism_perms
+from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _signature_column
 
 from conftest import barbell, make_graph, random_graph
 
@@ -306,3 +306,45 @@ def test_occurrence_tables_die_with_their_graph():
     ref = weakref.ref(g)
     del g
     assert ref() is None
+
+
+# ---------------------------------------------------------------- coded typing
+
+def _signature_loop(g, skel, mode):
+    """Oracle: ``signature_of`` per occurrence row, interned in first-seen order."""
+    interned = {}
+    ids = [interned.setdefault(signature_of(g, nodes, skel, mode), len(interned))
+           for nodes in _occurrence_rows(g, skel).tolist()]
+    return ids, list(interned)
+
+
+def test_coded_signatures_match_signature_of_row_by_row():
+    # Two node and two edge types, plus a dense graph with 1,000 node-type
+    # and 100 edge-type names, where one packed int64 key per 4-clique would
+    # need about 10^24 values.
+    graphs = [random_graph(400 + seed, 14, 0.3 + 0.05 * seed, n_type_count=2, e_type_count=2)
+              for seed in range(6)]
+    graphs.append(random_graph(7, 12, 0.8, n_type_count=1000, e_type_count=100))
+    for i, g in enumerate(graphs):
+        for name, skel in SKELETONS.items():
+            for mode in ("multiset", "set", "strict"):
+                ids, sigs = _signature_column(g, skel, mode)
+                want_ids, want_sigs = _signature_loop(g, skel, mode)
+                assert ids.tolist() == want_ids, (i, name, mode)
+                assert sigs == want_sigs, (i, name, mode)
+    assert any(len(_signature_column(graphs[-1], SKELETONS["4-clique"], mode)[1]) > 1
+               for mode in ("multiset", "set", "strict"))
+
+
+def test_no_query_calls_the_signature_oracle(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("signature_of called outside the tests")
+
+    monkeypatch.setattr(graphlets, "signature_of", refuse)
+    g = random_graph(12, 12, 0.4, n_type_count=2, e_type_count=2)
+    for mode in ("multiset", "set", "strict"):
+        assert census(g, typing_mode=mode)
+    table = census(g)
+    rank_typed_graphlets(g, list(table))
+    sig = next(iter(table))
+    assert len(instances_matching(g, sig)) == table[sig]

@@ -327,3 +327,26 @@ def test_motif_matrix_matches_oracle_counts_in_every_typing_mode():
                         degrees[u] += w
                         degrees[v] += w
                     assert mm.degrees.tolist() == degrees
+
+
+def test_induced_graph_equals_validated_weighted_graph():
+    # The motif graph is built from W's arrays without re-validation; it
+    # must equal the dict route in every attribute, dtypes included.
+    graphs = [random_graph(300 + seed, 12, 0.4, n_type_count=2, e_type_count=2)
+              for seed in range(3)] + [make_graph(5, [(0, 1), (2, 3)])]
+    for g in graphs:
+        for name, skel in SKELETONS.items():
+            for mode in ("multiset", "set", "strict"):
+                sigs = [TypedGraphletSignature(skel, None, None, mode)]
+                sigs += list(census(g, [name], mode))
+                for sig in sigs:
+                    mm = build_motif_matrix(g, sig)
+                    got = mm.induced_graph()
+                    want = WeightedGraph(g.node_count, mm.weights)
+                    assert got.node_count == want.node_count
+                    assert got.weights == want.weights
+                    assert list(got.weights) == list(want.weights)
+                    for attr in ("pairs", "pair_weights", "degrees"):
+                        a, b = getattr(got, attr), getattr(want, attr)
+                        assert a.dtype == b.dtype, (name, mode, attr)
+                        assert a.shape == b.shape and (a == b).all(), (name, mode, attr)

@@ -193,6 +193,14 @@ def test_sweep_requires_two_nodes():
         sweep_cut(gH, np.array([0.0]), nodes=[0])
 
 
+def test_sweep_rejects_node_ids_outside_the_graph():
+    gH = WeightedGraph(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+    with pytest.raises(ValueError, match="node ids"):
+        sweep_cut(gH, np.array([0.0, 1.0]), nodes=[-1, 0])
+    with pytest.raises(ValueError, match="node ids"):
+        sweep_cut(gH, np.array([0.0, 1.0]), nodes=[2, 4])
+
+
 # ---------------------------------------------------------------- cluster
 
 def test_cluster_barbell_returns_one_triangle():
