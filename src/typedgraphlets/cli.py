@@ -380,6 +380,8 @@ _DISPATCH = {
 
 
 def run(cfg: RunConfig) -> int:
+    if cfg.trials < 1:
+        raise ValueError("trials must be at least 1")
     g = read_typed_edge_list(cfg.input)
     if g.collapsed_duplicates:
         print(

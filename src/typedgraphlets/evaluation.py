@@ -10,13 +10,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ZeroVolumeError
-from .graph import HeteroGraph, _validate_cut, permute_graph
+from .graph import HeteroGraph, _check_bijection, _validate_cut, permute_graph
 from .graphlets import TypedGraphletSignature
 from .spectral import spectral_embedding
 
@@ -34,8 +33,11 @@ def external_conductance(g: HeteroGraph, s: Iterable[int]) -> Fraction:
     entirely and measures how well the cluster separates in raw edges.
     """
     side = _validate_cut(g.node_count, s)
-    cut = sum(1 for u, v in g.edges if (u in side) != (v in side))
-    vol_s = int(g.degrees[sorted(side)].sum())
+    inside = np.zeros(g.node_count, dtype=bool)
+    inside[list(side)] = True
+    ends = inside[g.edge_array]
+    cut = int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
+    vol_s = int(g.degrees[inside].sum())
     vol_rest = int(g.degrees.sum()) - vol_s
     denom = min(vol_s, vol_rest)
     if denom == 0:
@@ -63,6 +65,27 @@ def _type_patterns(g: HeteroGraph, edge_indices: Sequence[int]) -> set[tuple[int
     return pats
 
 
+def _pattern_table(patterns: set[tuple[int, int]], type_count: int) -> np.ndarray:
+    """``table[a, b]``: endpoint types a and b match a pattern ``(min, max)``."""
+    table = np.zeros((type_count, type_count), dtype=bool)
+    for a, b in patterns:
+        if 0 <= a <= b < type_count:
+            table[a, b] = table[b, a] = True
+    return table
+
+
+def _valid_pairs(pairs: Iterable[tuple[int, int]], n: int) -> np.ndarray:
+    """The pairs (u, v) with 0 <= u < v < n, as an int64 (k, 2) array."""
+    arr = np.array([(u, v) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
+    return arr[(0 <= arr[:, 0]) & (arr[:, 0] < arr[:, 1]) & (arr[:, 1] < n)]
+
+
+def _triu_positions(pairs: np.ndarray, n: int) -> np.ndarray:
+    """Index of each pair (u, v), u < v, in ``np.triu_indices(n, 1)`` order."""
+    u, v = pairs[:, 0], pairs[:, 1]
+    return u * (2 * n - u - 1) // 2 + (v - u - 1)
+
+
 def _sample_nonedges(
     g: HeteroGraph,
     patterns: set[tuple[int, int]],
@@ -70,23 +93,30 @@ def _sample_nonedges(
     rng: random.Random,
     exclude: set[tuple[int, int]],
 ) -> list[tuple[int, int]]:
-    """Seeded sample of non-edges whose endpoint types match a pattern."""
+    """Seeded sample of non-edges whose endpoint types match a pattern.
+
+    Up to ``_ENUMERATE_PAIR_LIMIT`` node pairs, every candidate (u, v), u < v,
+    is listed in lexicographic order and ``count`` of them are drawn with
+    ``rng.sample``; beyond it pairs are drawn by rejection. ``exclude`` pairs
+    are matched exactly as given, so only (u, v) with u < v can exclude.
+    """
     n = g.node_count
-    edge_set = set(g.edges)
     if n * (n - 1) // 2 <= _ENUMERATE_PAIR_LIMIT:
-        cands = []
-        for u, v in combinations(range(n), 2):
-            if (u, v) in edge_set or (u, v) in exclude:
-                continue
-            tu, tv = g.node_types[u], g.node_types[v]
-            key = (tu, tv) if tu <= tv else (tv, tu)
-            if key in patterns:
-                cands.append((u, v))
+        us, vs = np.triu_indices(n, 1)
+        types = np.asarray(g.node_types, dtype=np.int64)
+        ok = _pattern_table(patterns, g.node_type_count)[types[us], types[vs]]
+        ok[_triu_positions(g.edge_array, n)] = False
+        ok[_triu_positions(_valid_pairs(exclude, n), n)] = False
+        cands = np.flatnonzero(ok)
         if len(cands) < count:
             raise ValueError(
                 f"not enough type-compatible non-edges: need {count}, found {len(cands)}"
             )
-        return rng.sample(cands, count)
+        # Random.sample draws from the population's length alone, so sampling
+        # positions gives the same pairs as sampling the candidate list.
+        chosen = cands[rng.sample(range(len(cands)), count)]
+        return list(zip(us[chosen].tolist(), vs[chosen].tolist()))
+    edge_set = set(g.edges)
     picked: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     budget = 200 * count + 10_000
@@ -176,15 +206,26 @@ def edge_embed(zi: np.ndarray, zj: np.ndarray, op: str) -> np.ndarray:
     raise ValueError(f"unknown edge operator '{op}'")
 
 
+# The fit calls these thousands of times on small arrays, so they call the
+# ufuncs directly: np.minimum(np.maximum(.)) clips to exactly np.clip's values
+# and np.add.reduce(.) / n is exactly np.mean, without their wrapper layers.
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -35.0), 35.0)))
+
+
+def _loss_and_probs(
+    Xb: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float
+) -> tuple[float, np.ndarray]:
+    """Penalised logistic loss at ``w`` and the probabilities it was computed from."""
+    p = _sigmoid(Xb @ w)
+    eps = 1e-12
+    data = -(np.add.reduce(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)) / len(y))
+    return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1])), p
 
 
 def _logistic_loss(Xb: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
-    p = _sigmoid(Xb @ w)
-    eps = 1e-12
-    data = -np.mean(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps))
-    return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1]))
+    return _loss_and_probs(Xb, y, w, l2)[0]
 
 
 def train_linear_classifier(
@@ -211,20 +252,20 @@ def train_linear_classifier(
     Xb = np.hstack([X, np.ones((n, 1))])
     rng = np.random.default_rng(seed)
     w = 0.01 * rng.standard_normal(d + 1)
-    loss = _logistic_loss(Xb, y, w, l2)
+    # p holds the probabilities at the current w: an accepted candidate
+    # brings the ones its loss was computed from, so none is computed twice.
+    loss, p = _loss_and_probs(Xb, y, w, l2)
     for _ in range(iters):
-        p = _sigmoid(Xb @ w)
         grad = Xb.T @ (p - y) / n
         grad[:-1] += l2 * w[:-1]
         cand = w - step * grad
-        cand_loss = _logistic_loss(Xb, y, cand, l2)
+        cand_loss, cand_p = _loss_and_probs(Xb, y, cand, l2)
         while cand_loss > loss and step > 1e-12:
             step *= 0.5
             cand = w - step * grad
-            cand_loss = _logistic_loss(Xb, y, cand, l2)
+            cand_loss, cand_p = _loss_and_probs(Xb, y, cand, l2)
         if cand_loss <= loss:
-            w = cand
-            loss = cand_loss
+            w, loss, p = cand, cand_loss, cand_p
     return w
 
 
@@ -273,15 +314,17 @@ def compute_metrics(
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing their average rank."""
+    values = np.asarray(values)
     order = np.argsort(values, kind="stable")
     ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    if not len(values):
+        return ranks
+    ordered = values[order]
+    # A group starts where the sorted value changes; NaN != NaN, so each NaN
+    # is a group of its own.
+    starts = np.flatnonzero(np.concatenate([[True], ordered[1:] != ordered[:-1]]))
+    ends = np.append(starts[1:], len(values)) - 1
+    ranks[order] = np.repeat((starts + ends) / 2.0 + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -336,10 +379,14 @@ def link_prediction_eval(
     test_pairs = ds.positives + ds.negatives
     y_test = np.array([1] * len(ds.positives) + [0] * len(ds.negatives), dtype=np.int64)
 
+    train_ends = np.array(train_pairs, dtype=np.int64).reshape(-1, 2)
+    test_ends = np.array(test_pairs, dtype=np.int64).reshape(-1, 2)
     reports: dict[str, MetricsReport] = {}
     for op in operators:
-        X_train = np.array([edge_embed(Z[u], Z[v], op) for u, v in train_pairs])
-        X_test = np.array([edge_embed(Z[u], Z[v], op) for u, v in test_pairs])
+        # The operators act element by element, so one call over all rows
+        # gives the same values as one call per pair.
+        X_train = edge_embed(Z[train_ends[:, 0]], Z[train_ends[:, 1]], op)
+        X_test = edge_embed(Z[test_ends[:, 0]], Z[test_ends[:, 1]], op)
         w = train_linear_classifier(X_train, y_train, l2=l2, iters=iters, seed=seed)
         reports[op] = compute_metrics(predict_scores(X_test, w), y_test)
     best = max(
@@ -376,14 +423,6 @@ def summarize_trials(results: Sequence[LinkPredResult]) -> dict[str, dict[str, f
     return out
 
 
-def _varint_size(value: int) -> int:
-    size = 1
-    while value >= 128:
-        value >>= 7
-        size += 1
-    return size
-
-
 def compressed_size_estimate(g: HeteroGraph, order: Sequence[int]) -> int:
     """Byte size of the gap-encoded adjacency lists under an ordering.
 
@@ -394,18 +433,31 @@ def compressed_size_estimate(g: HeteroGraph, order: Sequence[int]) -> int:
     from its predecessor, each as a 7-bit-per-byte varint. An empty list
     still costs its one-byte length marker.
     """
-    h = permute_graph(g, order)
-    total = 0
-    for v in range(h.node_count):
-        nbrs = sorted(h.adjacency[v])
-        total += _varint_size(len(nbrs))
-        if not nbrs:
-            continue
-        first = nbrs[0] - v
-        zig = 2 * first if first > 0 else 2 * (-first) + 1
-        total += _varint_size(zig)
-        for prev, cur in zip(nbrs, nbrs[1:]):
-            total += _varint_size(cur - prev)
+    n = g.node_count
+    _check_bijection(order, n)
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[np.asarray(order, dtype=np.int64)] = np.arange(n)
+    ends = new_id[g.edge_array]
+    # Both directions of every edge, sorted by (node, neighbour): each node's
+    # run is its ascending adjacency list.
+    node = np.concatenate([ends[:, 0], ends[:, 1]])
+    nbr = np.concatenate([ends[:, 1], ends[:, 0]])
+    by_node = np.lexsort((nbr, node))
+    node, nbr = node[by_node], nbr[by_node]
+    first = np.ones(len(node), dtype=bool)
+    first[1:] = node[1:] != node[:-1]
+    first_gap = nbr[first] - node[first]
+    values = np.concatenate([
+        np.bincount(node, minlength=n),
+        np.where(first_gap > 0, 2 * first_gap, -2 * first_gap + 1),
+        np.diff(nbr)[~first[1:]],
+    ])
+    # A varint of x takes one byte plus one per 7-bit threshold 128**k <= x.
+    total = len(values)
+    threshold = 128
+    while values.size and threshold <= values.max():
+        total += int(np.count_nonzero(values >= threshold))
+        threshold *= 128
     return total
 
 

@@ -109,9 +109,16 @@ class HeteroGraph:
         return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
+    def edge_array(self) -> np.ndarray:
+        """Read-only int64 (edge_count, 2) array of ``edges``, u < v per row."""
+        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
     def sorted_edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge keys ``u * n + v`` (u < v), ascending, and their edge types."""
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        ends = self.edge_array
         keys = ends[:, 0] * self.node_count + ends[:, 1]
         order = np.argsort(keys)
         return keys[order], np.array(self.edge_types, dtype=np.int64)[order]
@@ -462,6 +469,11 @@ def brute_force_min_weighted_conductance(
     return _min_conductance_cut(g.degrees, cut_of)
 
 
+def _check_bijection(order: Sequence[int], n: int) -> None:
+    if sorted(order) != list(range(n)):
+        raise ValueError("order is not a bijection on node ids")
+
+
 def permute_graph(g: HeteroGraph, order: Sequence[int]) -> HeteroGraph:
     """Relabel nodes so that ``order[k]`` becomes node ``k``.
 
@@ -469,9 +481,7 @@ def permute_graph(g: HeteroGraph, order: Sequence[int]) -> HeteroGraph:
     carried along; applying ``inverse_permutation(order)`` afterwards restores
     the original graph.
     """
-    n = g.node_count
-    if sorted(order) != list(range(n)):
-        raise ValueError("order is not a bijection on node ids")
+    _check_bijection(order, g.node_count)
     pos = {old: new for new, old in enumerate(order)}
     edges = [(pos[u], pos[v]) for u, v in g.edges]
     return HeteroGraph(

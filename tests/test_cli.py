@@ -159,6 +159,16 @@ def test_linkpred_artifacts(tmp_path):
     assert all(r["signature"] == "wedge" for r in records)
 
 
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_linkpred_rejects_trials_below_one(tmp_path, capsys, trials):
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "linkpred", "--input", path, "--motif", "wedge",
+                        "--trials", trials)
+    assert code == 1
+    assert "error: trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compress_eval_artifact(tmp_path):
     path = write_input(tmp_path, BARBELL_FILE)
     code, out = run_cli(tmp_path, "compress-eval", "--input", path,

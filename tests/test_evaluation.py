@@ -22,7 +22,13 @@ from typedgraphlets import (
     split_edges,
     train_linear_classifier,
 )
-from typedgraphlets.evaluation import _logistic_loss, _sigmoid
+from typedgraphlets import evaluation
+from typedgraphlets.evaluation import (
+    _average_ranks,
+    _logistic_loss,
+    _sample_nonedges,
+    _sigmoid,
+)
 
 from conftest import barbell, make_graph, random_graph
 
@@ -300,3 +306,246 @@ def test_link_prediction_pipeline_deterministic():
     for op in ("hadamard", "mean"):
         assert a.per_operator[op] == b.per_operator[op]
     assert a.n_test_examples == 2 * len(split_edges(g, 0.5, 3).positives)
+
+
+# ---------------------------------------------------------------- loop oracles
+#
+# Each vectorised function against a plain loop written here, compared with
+# ==: the numpy forms must give exactly the loop's values, not close ones.
+
+def loop_nonedge_candidates(g, patterns, exclude):
+    edge_set = set(g.edges)
+    cands = []
+    for u, v in combinations(range(g.node_count), 2):
+        if (u, v) in edge_set or (u, v) in exclude:
+            continue
+        tu, tv = g.node_types[u], g.node_types[v]
+        if ((tu, tv) if tu <= tv else (tv, tu)) in patterns:
+            cands.append((u, v))
+    return cands
+
+
+def loop_enumerated_nonedges(g, patterns, count, rng, exclude):
+    cands = loop_nonedge_candidates(g, patterns, exclude)
+    if len(cands) < count:
+        raise ValueError(
+            f"not enough type-compatible non-edges: need {count}, found {len(cands)}"
+        )
+    return rng.sample(cands, count)
+
+
+def loop_rejected_nonedges(g, patterns, count, rng, exclude):
+    edge_set = set(g.edges)
+    picked, seen = [], set()
+    budget = 200 * count + 10_000
+    while len(picked) < count and budget > 0:
+        budget -= 1
+        u, v = rng.randrange(g.node_count), rng.randrange(g.node_count)
+        if u == v:
+            continue
+        pair = (min(u, v), max(u, v))
+        if pair in edge_set or pair in exclude or pair in seen:
+            continue
+        tu, tv = g.node_types[pair[0]], g.node_types[pair[1]]
+        if ((tu, tv) if tu <= tv else (tv, tu)) not in patterns:
+            continue
+        seen.add(pair)
+        picked.append(pair)
+    if len(picked) < count:
+        raise ValueError("not enough type-compatible non-edges within sampling budget")
+    return picked
+
+
+NONEDGE_PATTERNS = (
+    {(0, 0)},
+    {(0, 1), (2, 2)},
+    {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)},
+    {(1, 0), (0, 7)},  # unsorted and out-of-range patterns match nothing
+)
+
+
+def nonedge_excludes(g, seed):
+    """Non-edges, edges, reversed pairs and out-of-range pairs to exclude."""
+    rng = random.Random(seed)
+    n = g.node_count
+    pairs = rng.sample(list(combinations(range(n), 2)), 40)
+    return set(pairs[:30]) | {(v, u) for u, v in pairs[30:]} | {
+        g.edges[0], (-1, 2), (3, n), (n, n + 1), (2, 2)}
+
+
+def test_sample_nonedges_enumerated_matches_combinations_loop():
+    for seed in range(6):
+        g = random_graph(seed + 700, 25, 0.2, n_type_count=3)
+        for patterns in NONEDGE_PATTERNS:
+            for exclude in (set(), nonedge_excludes(g, seed)):
+                found = len(loop_nonedge_candidates(g, patterns, exclude))
+                for count in sorted({0, min(3, found), found // 3, found}):
+                    a, b = random.Random(seed), random.Random(seed)
+                    got = _sample_nonedges(g, patterns, count, a, exclude)
+                    assert got == loop_enumerated_nonedges(g, patterns, count, b, exclude)
+                    assert all(type(x) is int for pair in got for x in pair)
+                    assert a.random() == b.random()  # the stream goes on alike
+                with pytest.raises(ValueError) as fast:
+                    _sample_nonedges(g, patterns, found + 1, random.Random(seed), exclude)
+                with pytest.raises(ValueError) as slow:
+                    loop_enumerated_nonedges(g, patterns, found + 1, random.Random(seed), exclude)
+                assert str(fast.value) == str(slow.value)
+
+
+def test_sample_nonedges_rejection_branch_matches_loop(monkeypatch):
+    monkeypatch.setattr(evaluation, "_ENUMERATE_PAIR_LIMIT", 10)
+    for seed in range(4):
+        g = random_graph(seed + 750, 30, 0.15, n_type_count=2)
+        exclude = nonedge_excludes(g, seed)
+        for patterns in ({(0, 1)}, {(0, 0), (1, 1)}):
+            got = _sample_nonedges(g, patterns, 25, random.Random(seed), exclude)
+            assert got == loop_rejected_nonedges(g, patterns, 25, random.Random(seed), exclude)
+    with pytest.raises(ValueError, match="within sampling budget"):
+        _sample_nonedges(g, {(0, 1)}, 10_000, random.Random(0), set())
+
+
+def loop_average_ranks(values):
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values), dtype=np.float64)
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def test_average_ranks_match_loop():
+    rng = np.random.default_rng(3)
+    nan = float("nan")
+    cases = [
+        [],
+        [0.5],
+        [0.3, 0.1, 0.3, 0.2, 0.1, 0.3],
+        [nan, 1.0, nan, 1.0, -0.0, 0.0, nan],
+        [nan],
+        rng.integers(0, 5, size=200).astype(np.float64),
+        rng.standard_normal(50),
+    ]
+    for values in cases:
+        values = np.asarray(values, dtype=np.float64)
+        assert _average_ranks(values).tobytes() == loop_average_ranks(values).tobytes()
+
+
+def test_edge_embed_batched_matches_per_row_calls():
+    rng = np.random.default_rng(8)
+    Z = rng.standard_normal((20, 5))
+    Z[3] = -0.0
+    us, vs = rng.integers(0, 20, size=(2, 60))
+    for op in EDGE_OPERATORS:
+        rows = np.array([edge_embed(Z[u], Z[v], op) for u, v in zip(us, vs)])
+        assert edge_embed(Z[us], Z[vs], op).tobytes() == rows.tobytes()
+
+
+def loop_train_linear_classifier(X, y, l2, iters, seed, step):
+    """Gradient descent that recomputes the logits at w every iteration."""
+
+    def sigmoid(z):
+        return 1.0 / (1.0 + np.exp(-np.clip(z, -35.0, 35.0)))
+
+    def loss_at(w):
+        p = sigmoid(Xb @ w)
+        data = -np.mean(y * np.log(p + 1e-12) + (1 - y) * np.log(1 - p + 1e-12))
+        return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1]))
+
+    n, d = X.shape
+    Xb = np.hstack([X, np.ones((n, 1))])
+    w = 0.01 * np.random.default_rng(seed).standard_normal(d + 1)
+    loss = loss_at(w)
+    halvings, peak = 0, 0.0
+    for _ in range(iters):
+        p = sigmoid(Xb @ w)
+        peak = max(peak, float(np.abs(Xb @ w).max()))
+        grad = Xb.T @ (p - y) / n
+        grad[:-1] += l2 * w[:-1]
+        cand = w - step * grad
+        cand_loss = loss_at(cand)
+        while cand_loss > loss and step > 1e-12:
+            step *= 0.5
+            halvings += 1
+            cand = w - step * grad
+            cand_loss = loss_at(cand)
+        if cand_loss <= loss:
+            w, loss = cand, cand_loss
+    return w, halvings, peak
+
+
+def test_classifier_weights_match_recomputing_loop():
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((120, 6))
+    y = (X @ rng.standard_normal(6) + 0.5 * rng.standard_normal(120) > 0).astype(float)
+    # A plain run, one that halves its step, and one whose logits pass the
+    # sigmoid's clip at +-35.
+    for scale, step, iters in ((1.0, 0.1, 50), (1.0, 40.0, 60), (400.0, 0.1, 30)):
+        ref, halvings, peak = loop_train_linear_classifier(scale * X, y, 1e-4, iters, 5, step)
+        if step > 1:
+            assert halvings > 0
+        if scale > 1:
+            assert peak > 35
+        w = train_linear_classifier(scale * X, y, l2=1e-4, iters=iters, seed=5, step=step)
+        assert w.tobytes() == ref.tobytes()
+
+
+def loop_compressed_size(g, order):
+    def varint(x):
+        size = 1
+        while x >= 128:
+            x >>= 7
+            size += 1
+        return size
+
+    pos = {old: new for new, old in enumerate(order)}
+    nbrs = {v: [] for v in range(g.node_count)}
+    for u, v in g.edges:
+        nbrs[pos[u]].append(pos[v])
+        nbrs[pos[v]].append(pos[u])
+    total = 0
+    for v in range(g.node_count):
+        lst = sorted(nbrs[v])
+        total += varint(len(lst))
+        if lst:
+            first = lst[0] - v
+            total += varint(2 * first if first > 0 else -2 * first + 1)
+            total += sum(varint(b - a) for a, b in zip(lst, lst[1:]))
+    return total
+
+
+def test_compressed_size_matches_adjacency_loop():
+    rng = random.Random(4)
+    # 20,000 nodes: a 150-leaf star and far-apart pairs give 2- and 3-byte varints.
+    n = 20_000
+    far = [(0, n - 1), (5, 17_000), (9_000, 9_129)] + [(1, 200 + 97 * i) for i in range(150)]
+    graphs = [random_graph(seed + 800, 40, 0.15) for seed in range(3)]
+    graphs += [make_graph(300, [(0, v) for v in range(1, 300)]), make_graph(n, far),
+               make_graph(4, [])]
+    for g in graphs:
+        shuffled = list(range(g.node_count))
+        rng.shuffle(shuffled)
+        for order in (range(g.node_count), shuffled, shuffled[::-1]):
+            order = list(order)
+            assert compressed_size_estimate(g, order) == loop_compressed_size(g, order)
+
+
+def test_external_conductance_matches_adjacency_loop():
+    rng = random.Random(6)
+    for seed in range(5):
+        g = random_graph(seed + 850, 30, 0.15)
+        adj = {v: set() for v in range(g.node_count)}
+        for u, v in g.edges:
+            adj[u].add(v)
+            adj[v].add(u)
+        for _ in range(10):
+            side = set(rng.sample(range(30), rng.randrange(1, 30)))
+            cut = sum(1 for u in side for v in adj[u] if v not in side)
+            vol = sum(len(adj[u]) for u in side)
+            denom = min(vol, 2 * g.edge_count - vol)
+            if denom == 0:
+                continue
+            assert external_conductance(g, list(side) * 2) == Fraction(cut, denom)
