@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ZeroVolumeError
-from .graph import HeteroGraph, _check_bijection, _validate_cut, permute_graph
+from .graph import HeteroGraph, _check_bijection, _csr, _validate_cut, permute_graph
 from .graphlets import TypedGraphletSignature
 from .spectral import spectral_embedding
 
@@ -437,18 +437,13 @@ def compressed_size_estimate(g: HeteroGraph, order: Sequence[int]) -> int:
     _check_bijection(order, n)
     new_id = np.empty(n, dtype=np.int64)
     new_id[np.asarray(order, dtype=np.int64)] = np.arange(n)
-    ends = new_id[g.edge_array]
-    # Both directions of every edge, sorted by (node, neighbour): each node's
-    # run is its ascending adjacency list.
-    node = np.concatenate([ends[:, 0], ends[:, 1]])
-    nbr = np.concatenate([ends[:, 1], ends[:, 0]])
-    by_node = np.lexsort((nbr, node))
-    node, nbr = node[by_node], nbr[by_node]
-    first = np.ones(len(node), dtype=bool)
-    first[1:] = node[1:] != node[:-1]
-    first_gap = nbr[first] - node[first]
+    indptr, nbr = _csr(n, new_id[g.edge_array])
+    deg = np.diff(indptr)
+    first = np.zeros(len(nbr), dtype=bool)
+    first[indptr[:-1][deg > 0]] = True
+    first_gap = nbr[first] - np.flatnonzero(deg)
     values = np.concatenate([
-        np.bincount(node, minlength=n),
+        deg,
         np.where(first_gap > 0, 2 * first_gap, -2 * first_gap + 1),
         np.diff(nbr)[~first[1:]],
     ])

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import compress
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -89,20 +90,19 @@ class HeteroGraph:
         return len(self.edge_type_names)
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset, ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.node_count)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR adjacency ``(indptr, indices)``, read-only int64.
+
+        The neighbours of node v, ascending, are
+        ``indices[indptr[v]:indptr[v + 1]]``.
+        """
+        indptr, indices = _csr(self.node_count, self.edge_array)
+        indptr.flags.writeable = indices.flags.writeable = False
+        return indptr, indices
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.diff(self.neighbours[0])
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
@@ -128,11 +128,12 @@ class HeteroGraph:
         edge_keys, edge_types = self.sorted_edge_keys
         if not len(edge_keys):
             return np.full(np.shape(keys), -1, dtype=np.int64)
-        pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+        pos = np.searchsorted(edge_keys, keys)
+        np.minimum(pos, len(edge_keys) - 1, out=pos)
         return np.where(edge_keys[pos] == keys, edge_types[pos], -1)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
+        return ((u, v) if u < v else (v, u)) in self.edge_index
 
     def edge_type_of(self, u: int, v: int) -> int:
         key = (u, v) if u < v else (v, u)
@@ -147,17 +148,17 @@ class HeteroGraph:
     def subgraph(self, nodes: Iterable[int]) -> tuple["HeteroGraph", list[int]]:
         """Induced subgraph on ``nodes``; returns (graph, new-to-old id map).
 
-        Type tables are carried over unchanged so type ids stay comparable
-        with the parent graph.
+        Ids outside the graph raise ValueError. Type tables are carried over
+        unchanged so type ids stay comparable with the parent graph.
         """
         keep = sorted(set(nodes))
-        old_to_new = {old: new for new, old in enumerate(keep)}
-        edges = []
-        etypes = []
-        for (u, v), t in zip(self.edges, self.edge_types):
-            if u in old_to_new and v in old_to_new:
-                edges.append((old_to_new[u], old_to_new[v]))
-                etypes.append(t)
+        _check_node_ids(self.node_count, keep)
+        relabel = np.full(self.node_count, -1, dtype=np.int64)
+        relabel[keep] = np.arange(len(keep))
+        ends = relabel[self.edge_array]
+        inside = (ends >= 0).all(axis=1)
+        edges = ends[inside].tolist()
+        etypes = list(compress(self.edge_types, inside.tolist()))
         sub = HeteroGraph(
             [self.node_names[i] for i in keep],
             [self.node_types[i] for i in keep],
@@ -173,6 +174,15 @@ class HeteroGraph:
             f"HeteroGraph(n={self.node_count}, m={self.edge_count}, "
             f"node_types={self.node_type_count}, edge_types={self.edge_type_count})"
         )
+
+
+def _csr(n: int, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of the undirected edges ``ends`` on n nodes."""
+    src = np.concatenate([ends[:, 0], ends[:, 1]])
+    dst = np.concatenate([ends[:, 1], ends[:, 0]])
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.lexsort((dst, src))]
 
 
 class WeightedGraph:
@@ -256,24 +266,14 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
     edge_map: dict[tuple[int, int], int] = {}
     collapsed = 0
 
-    def intern_node_type(label: str) -> int:
-        if label not in node_type_ids:
-            node_type_ids[label] = len(node_type_ids)
-        return node_type_ids[label]
-
-    def intern_edge_type(label: str) -> int:
-        if label not in edge_type_ids:
-            edge_type_ids[label] = len(edge_type_ids)
-        return edge_type_ids[label]
-
     def intern_node(name: str, type_label: str, lineno: int) -> int:
-        tid = intern_node_type(type_label)
+        tid = node_type_ids.setdefault(type_label, len(node_type_ids))
         if name in node_ids:
             nid = node_ids[name]
             if node_types[nid] != tid:
                 raise EdgeListFormatError(
                     f"line {lineno}: node '{name}' declared with conflicting types "
-                    f"'{_name_of(node_type_ids, node_types[nid])}' and '{type_label}'"
+                    f"'{list(node_type_ids)[node_types[nid]]}' and '{type_label}'"
                 )
             return nid
         nid = len(node_ids)
@@ -304,7 +304,7 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
         etype = parts[4] if len(parts) == 5 else DEFAULT_EDGE_TYPE
         u = intern_node(src, stype, lineno)
         v = intern_node(dst, dtype, lineno)
-        eid = intern_edge_type(etype)
+        eid = edge_type_ids.setdefault(etype, len(edge_type_ids))
         key = (u, v) if u < v else (v, u)
         if key in edge_map:
             if edge_map[key] != eid:
@@ -315,16 +315,15 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
             continue
         edge_map[key] = eid
 
-    names = sorted(node_ids, key=node_ids.get)
-    edges = list(edge_map)
-    etypes = [edge_map[e] for e in edges]
+    # Ids are interned densely in insertion order, so each table's keys
+    # listed in order are its names by id.
     return HeteroGraph(
-        names,
+        list(node_ids),
         node_types,
-        edges,
-        etypes,
-        sorted(node_type_ids, key=node_type_ids.get),
-        sorted(edge_type_ids, key=edge_type_ids.get),
+        list(edge_map),
+        list(edge_map.values()),
+        list(node_type_ids),
+        list(edge_type_ids),
         collapsed_duplicates=collapsed,
     )
 
@@ -332,13 +331,6 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
 def read_typed_edge_list(path) -> HeteroGraph:
     with open(path, "r", encoding="utf-8") as fh:
         return load_typed_edge_list(fh.read())
-
-
-def _name_of(table: dict[str, int], tid: int) -> str:
-    for name, i in table.items():
-        if i == tid:
-            return name
-    return str(tid)
 
 
 def connected_components(g: WeightedGraph) -> tuple[np.ndarray, int]:
@@ -358,11 +350,17 @@ def connected_components(g: WeightedGraph) -> tuple[np.ndarray, int]:
     return canon[raw], count
 
 
+def _check_node_ids(node_count: int, ids: Collection[int]) -> None:
+    """Reject ids outside ``0..node_count-1`` with ValueError."""
+    if ids:
+        for v in (min(ids), max(ids)):
+            if not 0 <= v < node_count:
+                raise ValueError(f"node id {v} out of range")
+
+
 def _validate_cut(node_count: int, s: Iterable[int]) -> frozenset:
     side = frozenset(s)
-    for v in side:
-        if not 0 <= v < node_count:
-            raise ValueError(f"node id {v} out of range")
+    _check_node_ids(node_count, side)
     if not side or len(side) == node_count:
         raise DegenerateCutError("cut requires both sides nonempty")
     return side
@@ -376,6 +374,7 @@ def weighted_cut(g: WeightedGraph, s: Iterable[int]):
 
 def weighted_volume(g: WeightedGraph, s: Iterable[int]):
     idx = sorted(set(s))
+    _check_node_ids(g.node_count, idx)
     if not idx:
         return 0
     val = g.degrees[idx].sum()
@@ -482,12 +481,10 @@ def permute_graph(g: HeteroGraph, order: Sequence[int]) -> HeteroGraph:
     the original graph.
     """
     _check_bijection(order, g.node_count)
-    pos = {old: new for new, old in enumerate(order)}
-    edges = [(pos[u], pos[v]) for u, v in g.edges]
     return HeteroGraph(
         [g.node_names[old] for old in order],
         [g.node_types[old] for old in order],
-        edges,
+        np.argsort(order)[g.edge_array].tolist(),
         g.edge_types,
         g.node_type_names,
         g.edge_type_names,

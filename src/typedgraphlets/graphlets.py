@@ -3,8 +3,8 @@
 The catalog covers the eight connected 3- and 4-node shapes plus the single
 edge (needed for the classical spectral reduction and baselines). Instances
 are always induced occurrences, deduplicated by node set. The fast
-enumerator expands edges, triangles, and wedges; an O(n^4) subset scan is
-kept as an independent oracle for testing.
+enumerator reads only the graph's CSR form and sorted edge keys; an O(n^4)
+subset scan over ``has_edge`` is kept as an independent oracle for testing.
 
 Every query reads one occurrence table per (graph, skeleton, typing mode):
 the occurrences as an integer array of node ids, enumerated once per graph,
@@ -42,11 +42,7 @@ class Skeleton:
 
     @property
     def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.node_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(sorted(deg))
+        return tuple(sorted(sum(v in e for e in self.edges) for v in range(self.node_count)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Skeleton({self.name})"
@@ -138,8 +134,7 @@ class TypedGraphletSignature:
 
 
 def _induced_edges(g: HeteroGraph, nodes: Sequence[int]) -> list[tuple[int, int]]:
-    adj = g.adjacency
-    return [(u, v) for u, v in combinations(sorted(nodes), 2) if v in adj[u]]
+    return [(u, v) for u, v in combinations(sorted(nodes), 2) if g.has_edge(u, v)]
 
 
 @lru_cache(maxsize=None)
@@ -160,7 +155,7 @@ def signature_of(
 ) -> TypedGraphletSignature:
     """Signature of the induced occurrence of ``skel`` on ``nodes``.
 
-    One occurrence at a time, from the adjacency sets and the edge index:
+    One occurrence at a time, from ``has_edge`` and ``edge_type_of``:
     the oracle for the vectorised typing of ``_signature_column``.
     """
     nodes = tuple(sorted(nodes))
@@ -175,18 +170,10 @@ def signature_of(
         )
     # strict: canonical positional typing, minimised over all isomorphisms
     # onto the canonical skeleton labelling.
-    node_set = set(nodes)
-    adj = g.adjacency
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     k = skel.node_count
     for p in permutations(range(k)):
-        ok = True
-        for u, v in skel.edges:
-            a, b = nodes[p[u]], nodes[p[v]]
-            if b not in adj[a]:
-                ok = False
-                break
-        if not ok:
+        if not all(g.has_edge(nodes[p[u]], nodes[p[v]]) for u, v in skel.edges):
             continue
         nk = tuple(g.node_types[nodes[p[i]]] for i in range(k))
         ek = tuple(g.edge_type_of(nodes[p[u]], nodes[p[v]]) for u, v in skel.edges)
@@ -197,84 +184,116 @@ def signature_of(
     return TypedGraphletSignature(skel, best[0], best[1], "strict")
 
 
-def _triangles(g: HeteroGraph) -> list[tuple]:
-    """Induced triangles as sorted triples."""
-    adj = g.adjacency
-    triangles = []
-    for u, v in g.edges:
-        for w in adj[u] & adj[v]:
-            if w > v:
-                triangles.append((u, v, w))
-    return triangles
+def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + counts[i] - 1``, concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _wedges(g: HeteroGraph) -> list[tuple]:
-    """Induced wedges as (center, a, b), a < b."""
-    adj = g.adjacency
-    wedges = []
-    for c in range(g.node_count):
-        nbrs = sorted(adj[c])
-        for i in range(len(nbrs)):
-            a = nbrs[i]
-            for j in range(i + 1, len(nbrs)):
-                b = nbrs[j]
-                if b not in adj[a]:
-                    wedges.append((c, a, b))
-    return wedges
+def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """The distinct rows of ``rows`` (ids below ``n``), in lexicographic order.
 
-
-def _four_node_sets(
-    g: HeteroGraph, triangles: list[tuple], wedges: list[tuple]
-) -> dict[str, list[tuple]]:
-    """All induced 4-node occurrences, keyed by skeleton name.
-
-    Shapes containing a triangle come from expanding ``triangles`` by one
-    node; the triangle-free ones come from expanding induced ``wedges``.
-    Duplicates (one occurrence reached from several seeds) collapse via
-    node-set keys.
+    One lexsort over the rows' column pairs as keys ``u * n + v``, which
+    stay exact in int64 for any graph of fewer than 3 * 10^9 nodes.
     """
-    adj = g.adjacency
-    cliques: set[tuple] = set()
-    diamonds: set[tuple] = set()
-    tailed: set[tuple] = set()
-    for a, b, c in triangles:
-        tri = {a, b, c}
-        for x in (adj[a] | adj[b] | adj[c]) - tri:
-            hits = (x in adj[a]) + (x in adj[b]) + (x in adj[c])
-            quad = tuple(sorted((a, b, c, x)))
-            if hits == 3:
-                cliques.add(quad)
-            elif hits == 2:
-                diamonds.add(quad)
-            else:
-                tailed.add(quad)
-    stars: set[tuple] = set()
-    cycles: set[tuple] = set()
-    paths: set[tuple] = set()
-    for c, a, b in wedges:
-        trio = {c, a, b}
-        for x in (adj[c] | adj[a] | adj[b]) - trio:
-            to_center = x in adj[c]
-            to_a = x in adj[a]
-            to_b = x in adj[b]
-            if to_center and (to_a or to_b):
-                # Induced subgraph contains a triangle; the triangle pass owns it.
-                continue
-            quad = tuple(sorted((c, a, b, x)))
-            if to_center:
-                stars.add(quad)
-            elif to_a and to_b:
-                cycles.add(quad)
-            else:
-                paths.add(quad)
-    return {
-        "4-path": sorted(paths),
-        "4-star": sorted(stars),
-        "4-cycle": sorted(cycles),
-        "tailed-triangle": sorted(tailed),
-        "diamond": sorted(diamonds),
-        "4-clique": sorted(cliques),
-    }
+    keys = [rows[:, i].astype(np.int64) for i in range(0, rows.shape[1], 2)]
+    for i, key in enumerate(keys[: rows.shape[1] // 2]):
+        key *= n
+        key += rows[:, 2 * i + 1]
+    order = np.lexsort(keys[::-1])
+    new = np.zeros(len(rows), dtype=bool)
+    new[:1] = True
+    while keys:
+        key = keys.pop()[order]
+        new[1:] |= key[1:] != key[:-1]
+    return rows[order[new]]
+
+
+def _edges(g: HeteroGraph) -> np.ndarray:
+    """Edges as rows (u, v), u < v, in lexicographic order."""
+    return np.column_stack(np.divmod(g.sorted_edge_keys[0], g.node_count))
+
+
+def _triangles(g: HeteroGraph) -> np.ndarray:
+    """Induced triangles as ascending rows, in lexicographic order.
+
+    Each edge (u, v) in key order meets the neighbours w > v of v; w closes
+    a triangle when (u, w) is an edge.
+    """
+    indptr, indices = g.neighbours
+    u, v = _edges(g).T
+    above = indptr[:-1] + np.bincount(v, minlength=g.node_count)
+    count = indptr[v + 1] - above[v]
+    w = indices[_segments(above[v], count)]
+    u, v = np.repeat(u, count), np.repeat(v, count)
+    closed = g.pair_edge_types(u * g.node_count + w) >= 0
+    return np.column_stack([u[closed], v[closed], w[closed]])
+
+
+def _wedges(g: HeteroGraph) -> np.ndarray:
+    """Induced wedges as ascending rows, in lexicographic order.
+
+    Each position of the CSR ``indices`` pairs with every later position of
+    its segment, so every center meets each pair of its neighbours once; a
+    pair is kept when its two ends are not adjacent.
+    """
+    indptr, indices = g.neighbours
+    at = np.arange(len(indices))
+    later = np.repeat(indptr[1:], g.degrees) - at - 1
+    first, second = np.repeat(at, later), _segments(at + 1, later)
+    open_ = g.pair_edge_types(indices[first] * g.node_count + indices[second]) < 0
+    first, second = first[open_], second[open_]
+    center = np.repeat(np.arange(g.node_count), g.degrees)[first]
+    rows = np.column_stack([center, indices[first], indices[second]])
+    rows.sort(axis=1)
+    return _unique_rows(rows, g.node_count)
+
+
+# (edge count, max degree) tells the connected 4-node shapes apart; each
+# node's pairs are its columns among ``combinations(range(4), 2)``.
+_FOUR_NODE_SHAPES = {(s.edge_count, s.degree_sequence[-1]): s.name
+                     for s in SKELETONS.values() if s.node_count == 4}
+_NODE_PAIRS = [[i for i, pair in enumerate(combinations(range(4), 2)) if v in pair]
+               for v in range(4)]
+
+
+def _four_node_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
+    """All induced 4-node occurrences as ascending rows, keyed by skeleton name.
+
+    Every connected 4-node graph has a non-cut vertex, so each occurrence is
+    a triangle or an induced wedge plus one neighbour of it. Every such seed
+    grows by each neighbour of each of its nodes; an occurrence reached from
+    several seeds collapses to one row, and the shape follows from the
+    row's edge count and maximum degree.
+    """
+    indptr, indices = g.neighbours
+    seeds = np.vstack([_triangles(g), _wedges(g)]).astype(np.int32)
+    counts = g.degrees[seeds]
+    quads = np.empty((counts.sum(), 4), dtype=np.int32)
+    at = 0
+    for j in range(3):
+        grown = slice(at, at + counts[:, j].sum())
+        quads[grown, :3] = np.repeat(seeds, counts[:, j], axis=0)
+        quads[grown, 3] = indices[_segments(indptr[seeds[:, j]], counts[:, j])]
+        at = grown.stop
+    quads.sort(axis=1)
+    # A neighbour that is already in its seed repeats a node.
+    quads = quads[(quads[:, 1:] != quads[:, :-1]).all(axis=1)]
+    quads = _unique_rows(quads, g.node_count)
+    linked = np.column_stack([g.pair_edge_types(quads[:, a].astype(np.int64) * g.node_count
+                                                + quads[:, b]) >= 0
+                              for a, b in combinations(range(4), 2)])
+    edges = linked.sum(axis=1)
+    max_deg = linked[:, _NODE_PAIRS].sum(axis=2).max(axis=1)
+    return {name: quads[(edges == m) & (max_deg == d)]
+            for (m, d), name in _FOUR_NODE_SHAPES.items()}
+
+
+def _tuples(g: HeteroGraph, rows: np.ndarray) -> list[tuple[int, ...]]:
+    """Rows as tuples that share one int object per node id."""
+    return list(zip(*np.arange(g.node_count).astype(object)[rows.T]))
+
+
+_SMALL_SHAPES = {"edge": _edges, "wedge": _wedges, "triangle": _triangles}
 
 
 def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
@@ -284,25 +303,14 @@ def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
     is never reported as a wedge.
     """
     skel = resolve_skeleton(skel)
-    if skel.name == "edge":
-        return sorted(g.edges)
-    if skel.name == "triangle":
-        return sorted(_triangles(g))
-    if skel.name == "wedge":
-        return sorted(tuple(sorted(w)) for w in _wedges(g))
-    return _four_node_sets(g, _triangles(g), _wedges(g))[skel.name]
+    if skel.node_count == 4:
+        return _tuples(g, _four_node_rows(g)[skel.name])
+    return _tuples(g, _SMALL_SHAPES[skel.name](g))
 
 
 def enumerate_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
-    """Occurrence node sets for every catalog skeleton in one pass."""
-    triangles, wedges = _triangles(g), _wedges(g)
-    out = {
-        "edge": sorted(g.edges),
-        "wedge": sorted(tuple(sorted(w)) for w in wedges),
-        "triangle": sorted(triangles),
-    }
-    out.update(_four_node_sets(g, triangles, wedges))
-    return out
+    """Occurrence node sets for every catalog skeleton, from the occurrence tables."""
+    return {name: _tuples(g, _occurrence_rows(g, SKELETONS[name])) for name in SKELETON_ORDER}
 
 
 # Occurrence tables of each live graph: skeleton name -> rows, and
@@ -319,7 +327,7 @@ def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
     tables = _TABLES.setdefault(g, {})
     if skel.name not in tables:
         if skel.node_count == 4:
-            found = _four_node_sets(g, _triangles(g), _wedges(g))
+            found = _four_node_rows(g)
         else:
             found = {skel.name: enumerate_instances(g, skel)}
         for name, nodes in found.items():
@@ -456,45 +464,38 @@ def classify_induced(g: HeteroGraph, nodes: Sequence[int]) -> str | None:
     """Name of the connected shape induced on ``nodes``, or None."""
     nodes = tuple(sorted(nodes))
     edges = _induced_edges(g, nodes)
-    deg = {v: 0 for v in nodes}
-    for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-    key = (len(nodes), len(edges), tuple(sorted(deg.values())))
-    return _CLASSIFY.get(key)
+    degrees = tuple(sorted(sum(v in e for e in edges) for v in nodes))
+    return _CLASSIFY.get((len(nodes), len(edges), degrees))
 
 
-def brute_force_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
-    """Oracle enumerator: scan every k-subset of V and keep matches.
+def _brute_force(g: HeteroGraph, sizes: Iterable[int]) -> dict[str, list[tuple[int, ...]]]:
+    """Scan every subset of V of each size and keep the connected shapes.
 
     Independent of the fast expansion path; guarded to 64 nodes because the
     scan is O(n^4).
     """
-    skel = resolve_skeleton(skel)
-    if g.node_count > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_MAX_NODES} nodes, got {g.node_count}"
-        )
-    out = []
-    for nodes in combinations(range(g.node_count), skel.node_count):
-        if classify_induced(g, nodes) == skel.name:
-            out.append(nodes)
-    return out
-
-
-def brute_force_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
-    """Oracle occurrence sets for every catalog skeleton (one scan per size)."""
     if g.node_count > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
             f"brute force limited to {BRUTE_FORCE_MAX_NODES} nodes, got {g.node_count}"
         )
     out: dict[str, list[tuple[int, ...]]] = {name: [] for name in SKELETON_ORDER}
-    for k in (2, 3, 4):
+    for k in sizes:
         for nodes in combinations(range(g.node_count), k):
             name = classify_induced(g, nodes)
             if name is not None:
                 out[name].append(nodes)
     return out
+
+
+def brute_force_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
+    """Oracle occurrence node sets of one skeleton, lexicographic order."""
+    skel = resolve_skeleton(skel)
+    return _brute_force(g, [skel.node_count])[skel.name]
+
+
+def brute_force_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
+    """Oracle occurrence node sets for every catalog skeleton."""
+    return _brute_force(g, (2, 3, 4))
 
 
 def parse_signature_spec(

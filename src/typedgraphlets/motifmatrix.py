@@ -22,6 +22,7 @@ from .graph import (
     HeteroGraph,
     WeightedGraph,
     _check_cut_search_size,
+    _check_node_ids,
     _min_conductance_cut,
     _validate_cut,
 )
@@ -96,12 +97,14 @@ def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatr
 def typed_degree(mm: MotifMatrix, v: int) -> int:
     """Incident-edge count of ``v`` summed over occurrences.
 
-    Computed from the occurrence rows and the graph's adjacency, not from W,
-    so volume identities against W stay a genuine cross-check.
+    Computed from the occurrence rows and ``has_edge``, not from W, so
+    volume identities against W stay a genuine cross-check. Ids outside the
+    graph raise ValueError.
     """
-    adj = mm.graph.adjacency[v]
+    g = mm.graph
+    _check_node_ids(g.node_count, [v])
     rows = mm.instances[(mm.instances == v).any(axis=1)]
-    return sum(u in adj for u in rows.ravel().tolist())
+    return sum(g.has_edge(v, u) for u in rows.ravel().tolist())
 
 
 def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:

@@ -82,6 +82,54 @@ def test_degree_sum_is_twice_edge_count():
         assert int(g.degrees.sum()) == 2 * g.edge_count
 
 
+def test_neighbours_csr_lists_each_adjacency_set_ascending():
+    for seed in range(6):
+        g = random_graph(seed, 14, 0.1 + 0.1 * seed)
+        indptr, indices = g.neighbours
+        nbrs = [set() for _ in range(g.node_count)]
+        for u, v in g.edges:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        assert [indices[indptr[v]:indptr[v + 1]].tolist() for v in range(g.node_count)] == [
+            sorted(s) for s in nbrs
+        ]
+        assert g.degrees.tolist() == [len(s) for s in nbrs]
+        assert not indptr.flags.writeable and not indices.flags.writeable
+    empty = make_graph(0, [])
+    assert empty.neighbours[0].tolist() == [0] and len(empty.neighbours[1]) == 0
+
+
+def _subgraph_loop(g, keep):
+    """Oracle: the induced edges and their types, one edge at a time."""
+    old_to_new = {old: new for new, old in enumerate(keep)}
+    edges, etypes = [], []
+    for (u, v), t in zip(g.edges, g.edge_types):
+        if u in old_to_new and v in old_to_new:
+            edges.append((old_to_new[u], old_to_new[v]))
+            etypes.append(t)
+    return tuple(edges), tuple(etypes)
+
+
+def test_subgraph_matches_edge_loop():
+    rng = np.random.default_rng(5)
+    for seed in range(10):
+        g = random_graph(seed, 15, 0.3, n_type_count=3, e_type_count=3)
+        nodes = rng.choice(15, size=int(rng.integers(0, 16)), replace=False).tolist()
+        sub, back = g.subgraph(nodes + nodes[:2])
+        keep = sorted(nodes)
+        assert back == keep
+        assert (sub.edges, sub.edge_types) == _subgraph_loop(g, keep)
+        assert sub.node_names == tuple(g.node_names[v] for v in keep)
+        assert sub.node_types == tuple(g.node_types[v] for v in keep)
+
+
+def test_subgraph_rejects_ids_out_of_range():
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3)])
+    for nodes in ([-1, 0], [0, 4]):
+        with pytest.raises(ValueError, match="out of range"):
+            g.subgraph(nodes)
+
+
 # ---------------------------------------------------------------- weighted graphs
 
 def test_weighted_graph_drops_zero_and_rejects_negative():
@@ -206,6 +254,13 @@ def test_weighted_cut_and_volume_values():
     wg = WeightedGraph(4, {(0, 1): 2, (1, 2): 3, (2, 3): 1})
     assert weighted_cut(wg, {0, 1}) == 3
     assert weighted_volume(wg, {1, 2}) == 5 + 4
+
+
+def test_weighted_volume_rejects_ids_out_of_range():
+    wg = WeightedGraph(4, {(0, 1): 2, (1, 2): 3, (2, 3): 1})
+    for ids in ([-1], [4], [0, 4]):
+        with pytest.raises(ValueError, match="out of range"):
+            weighted_volume(wg, ids)
 
 
 def test_brute_force_min_weighted_conductance_barbell():

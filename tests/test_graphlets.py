@@ -10,6 +10,8 @@ from typedgraphlets import (
     brute_force_instances,
     build_motif_matrix,
     census,
+    cluster,
+    enumerate_all_instances,
     enumerate_instances,
     format_signature,
     instances_matching,
@@ -19,7 +21,7 @@ from typedgraphlets import (
     resolve_skeleton,
     signature_of,
 )
-from typedgraphlets import graphlets
+from typedgraphlets import HeteroGraph, graphlets
 from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _signature_column
 
 from conftest import barbell, make_graph, random_graph
@@ -52,6 +54,7 @@ def test_catalog_automorphism_counts():
 def test_degree_sequences_are_distinct():
     keys = {(s.node_count, s.edge_count, s.degree_sequence) for s in SKELETONS.values()}
     assert len(keys) == len(SKELETONS)
+    assert len(graphlets._FOUR_NODE_SHAPES) == 6
 
 
 def test_aliases():
@@ -88,6 +91,29 @@ def test_enumeration_matches_oracle_on_random_graphs():
         for name in SKELETONS:
             fast = set(enumerate_instances(g, name))
             assert fast == set(slow[name]), f"seed {seed} skeleton {name}"
+
+
+def test_corner_cases_match_oracle_exactly():
+    star = [(0, leaf) for leaf in range(1, 8)]
+    two_triangles = [(1, 2), (1, 4), (2, 4), (5, 6), (5, 8), (6, 8)]
+    cases = {
+        "edgeless": make_graph(5, []),
+        "single node": make_graph(1, []),
+        "K5": make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+        "star K1,7": make_graph(8, star),
+        "two triangles and isolated nodes": make_graph(10, two_triangles),
+    }
+    for label, g in cases.items():
+        assert enumerate_all_instances(g) == brute_force_all_instances(g), label
+        for name in SKELETONS:
+            assert enumerate_instances(g, name) == brute_force_instances(g, name), (label, name)
+    k5 = enumerate_all_instances(cases["K5"])
+    assert (len(k5["triangle"]), len(k5["4-clique"]), len(k5["wedge"])) == (10, 5, 0)
+    k17 = enumerate_all_instances(cases["star K1,7"])
+    assert (len(k17["wedge"]), len(k17["4-star"]), len(k17["4-path"])) == (21, 35, 0)
+    assert enumerate_all_instances(cases["two triangles and isolated nodes"])["triangle"] == [
+        (1, 2, 4), (5, 6, 8)
+    ]
 
 
 def test_instance_edges_are_graph_edges():
@@ -278,7 +304,7 @@ def test_barbell_has_two_triangles():
 def test_census_and_ranking_enumerate_each_skeleton_once(monkeypatch):
     calls: dict[str, int] = {}
     enumerate_original = graphlets.enumerate_instances
-    four_original = graphlets._four_node_sets
+    four_original = graphlets._four_node_rows
 
     def counting_enumerate(g, skel):
         name = resolve_skeleton(skel).name
@@ -290,7 +316,7 @@ def test_census_and_ranking_enumerate_each_skeleton_once(monkeypatch):
         return four_original(*args)
 
     monkeypatch.setattr(graphlets, "enumerate_instances", counting_enumerate)
-    monkeypatch.setattr(graphlets, "_four_node_sets", counting_four)
+    monkeypatch.setattr(graphlets, "_four_node_rows", counting_four)
     g = random_graph(7, 14, 0.35, n_type_count=2)
     table = census(g)
     rank_typed_graphlets(g, list(table))
@@ -348,3 +374,20 @@ def test_no_query_calls_the_signature_oracle(monkeypatch):
     rank_typed_graphlets(g, list(table))
     sig = next(iter(table))
     assert len(instances_matching(g, sig)) == table[sig]
+
+
+def test_no_query_reads_the_oracle_edge_index(monkeypatch):
+    def refuse(self):
+        raise AssertionError("edge_index read outside the oracles")
+
+    monkeypatch.setattr(HeteroGraph, "edge_index", property(refuse))
+    g = random_graph(13, 14, 0.4, n_type_count=2, e_type_count=2)
+    for mode in ("multiset", "set", "strict"):
+        assert census(g, typing_mode=mode)
+    sig = next(iter(census(g)))
+    assert len(instances_matching(g, sig))
+    assert build_motif_matrix(g, sig).weights
+    assert cluster(g, TypedGraphletSignature(SKELETONS["triangle"])).nodes
+    assert enumerate_all_instances(g)["4-path"]
+    with pytest.raises(AssertionError, match="edge_index"):
+        g.has_edge(0, 1)

@@ -105,6 +105,16 @@ def test_typed_degree_examples():
     assert typed_degree(mm_iso, 3) == 0
 
 
+def test_typed_degree_and_volume_reject_ids_out_of_range():
+    g, sig = cycle_umum()
+    mm = build_motif_matrix(g, sig)
+    for v in (-1, g.node_count):
+        with pytest.raises(ValueError, match="out of range"):
+            typed_degree(mm, v)
+        with pytest.raises(ValueError, match="out of range"):
+            typed_volume(mm, [0, v])
+
+
 def test_typed_volume_examples():
     g, sig = cycle_umum()
     mm = build_motif_matrix(g, sig)
