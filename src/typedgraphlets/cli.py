@@ -13,7 +13,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateCutError,
@@ -53,37 +52,6 @@ EXIT_PARSE = 3
 EXIT_ABSENT = 4
 EXIT_NO_CONVERGENCE = 5
 
-COMMANDS = (
-    "census",
-    "cluster",
-    "partition",
-    "embed",
-    "order",
-    "rank-motifs",
-    "linkpred",
-    "compress-eval",
-)
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str
-    output_dir: str
-    motif: str | None = None
-    dim: int = 16
-    seed: int = 0
-    fraction: float = 0.5
-    operator: str = "all"
-    strict_types: bool = False
-    records: bool = False
-    parts: int = 2
-    drop_trivial: bool = False
-    oracle_check: bool = False
-    dump_matrix: bool = False
-    edge_type: str | None = None
-    trials: int = 1
-
 
 def _fmt(x) -> str:
     return format(float(x), ".12g")
@@ -96,7 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, motif_required=False):
+    def command(name, summary, handler, motif_required=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="typed edge-list file")
         p.add_argument("--output-dir", default=".", help="directory for artifacts")
         p.add_argument(
@@ -107,37 +77,32 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict-types", action="store_true",
                        help="position-sensitive typed signatures")
+        return p
 
-    p = sub.add_parser("census", help="typed graphlet census table")
-    common(p)
+    p = command("census", "typed graphlet census table", _cmd_census, motif_required=False)
     p.add_argument("--records", action="store_true",
                    help="also write line-delimited records (census.jsonl)")
 
-    p = sub.add_parser("cluster", help="typed-graphlet spectral sweep cluster")
-    common(p, motif_required=True)
+    p = command("cluster", "typed-graphlet spectral sweep cluster", _cmd_cluster)
     p.add_argument("--dump-matrix", action="store_true",
                    help="write the motif matrix as coordinate triples")
     p.add_argument("--oracle-check", action="store_true",
                    help="cross-check fast enumeration against the subset-scan oracle")
 
-    p = sub.add_parser("partition", help="recursive bipartitioning")
-    common(p, motif_required=True)
+    p = command("partition", "recursive bipartitioning", _cmd_partition)
     p.add_argument("--parts", type=int, default=2)
 
-    p = sub.add_parser("embed", help="spectral node embeddings")
-    common(p, motif_required=True)
+    p = command("embed", "spectral node embeddings", _cmd_embed)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--drop-trivial", action="store_true",
                    help="skip the constant-direction eigenvector")
 
-    p = sub.add_parser("order", help="spectral vertex ordering")
-    common(p, motif_required=True)
+    command("order", "spectral vertex ordering", _cmd_order)
 
-    p = sub.add_parser("rank-motifs", help="rank typed graphlets by approximation factor")
-    common(p)
+    command("rank-motifs", "rank typed graphlets by approximation factor", _cmd_rank_motifs,
+            motif_required=False)
 
-    p = sub.add_parser("linkpred", help="link-prediction evaluation harness")
-    common(p, motif_required=True)
+    p = command("linkpred", "link-prediction evaluation harness", _cmd_linkpred)
     p.add_argument("--dim", type=int, default=16)
     p.add_argument("--fraction", type=float, default=0.5)
     p.add_argument("--operator", default="all",
@@ -148,36 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of seeded repetitions (seeds seed..seed+trials-1)")
     p.add_argument("--drop-trivial", action="store_true")
 
-    p = sub.add_parser("compress-eval", help="ordering-sensitive byte-size comparison")
-    common(p, motif_required=True)
+    command("compress-eval", "ordering-sensitive byte-size comparison", _cmd_compress_eval)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, input=args.input, output_dir=args.output_dir)
-    for name in (
-        "motif", "dim", "seed", "fraction", "operator", "strict_types", "records",
-        "parts", "drop_trivial", "oracle_check", "dump_matrix", "edge_type", "trials",
-    ):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    return cfg
+def _typing_mode(args: argparse.Namespace) -> str:
+    return "strict" if args.strict_types else "multiset"
 
 
-def _typing_mode(cfg: RunConfig) -> str:
-    return "strict" if cfg.strict_types else "multiset"
-
-
-def _resolve_motif(g: HeteroGraph, cfg: RunConfig):
-    mode = _typing_mode(cfg)
-    if cfg.motif == "best":
+def _resolve_motif(g: HeteroGraph, args: argparse.Namespace):
+    mode = _typing_mode(args)
+    if args.motif == "best":
         table = census(g, typing_mode=mode)
         ranking = rank_typed_graphlets(g, list(table))
         if not ranking.ranked:
             raise GraphletAbsentError("no typed graphlet occurs in this graph")
         return ranking.ranked[0].signature
-    return parse_signature_spec(g, cfg.motif, mode)
+    return parse_signature_spec(g, args.motif, mode)
 
 
 def _write(path: str, text: str) -> None:
@@ -189,9 +142,9 @@ def _names(g: HeteroGraph, nodes) -> list[str]:
     return [g.node_names[v] for v in nodes]
 
 
-def _out(cfg: RunConfig, filename: str) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return os.path.join(cfg.output_dir, filename)
+def _out(args: argparse.Namespace, filename: str) -> str:
+    os.makedirs(args.output_dir, exist_ok=True)
+    return os.path.join(args.output_dir, filename)
 
 
 def _resolve_edge_type(g: HeteroGraph, label: str | None) -> int | None:
@@ -202,8 +155,8 @@ def _resolve_edge_type(g: HeteroGraph, label: str | None) -> int | None:
     return g.edge_type_names.index(label)
 
 
-def _cmd_census(g: HeteroGraph, cfg: RunConfig) -> int:
-    table = census(g, typing_mode=_typing_mode(cfg))
+def _cmd_census(g: HeteroGraph, args: argparse.Namespace) -> int:
+    table = census(g, typing_mode=_typing_mode(args))
     lines = []
     records = []
     for sig, count in table.items():
@@ -212,77 +165,77 @@ def _cmd_census(g: HeteroGraph, cfg: RunConfig) -> int:
         records.append(
             {"skeleton": sig.skeleton.name, "signature": rendered, "count": count}
         )
-    _write(_out(cfg, "census.txt"), "\n".join(lines) + ("\n" if lines else ""))
-    if cfg.records:
+    _write(_out(args, "census.txt"), "\n".join(lines) + ("\n" if lines else ""))
+    if args.records:
         payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        _write(_out(cfg, "census.jsonl"), payload)
+        _write(_out(args, "census.jsonl"), payload)
     print(f"census: {len(table)} signatures over {sum(table.values())} occurrences")
     return EXIT_OK
 
 
-def _cmd_cluster(g: HeteroGraph, cfg: RunConfig) -> int:
-    sig = _resolve_motif(g, cfg)
-    if cfg.oracle_check:
+def _cmd_cluster(g: HeteroGraph, args: argparse.Namespace) -> int:
+    sig = _resolve_motif(g, args)
+    if args.oracle_check:
         fast = set(enumerate_instances(g, sig.skeleton))
         slow = set(brute_force_instances(g, sig.skeleton))
         if fast != slow:
             print("oracle check failed: enumeration mismatch", file=sys.stderr)
             return EXIT_ERROR
     res = cluster(g, sig)
-    _write(_out(cfg, "cluster.txt"), "\n".join(_names(g, res.nodes)) + "\n")
+    _write(_out(args, "cluster.txt"), "\n".join(_names(g, res.nodes)) + "\n")
     _write(
-        _out(cfg, "uncovered.txt"),
+        _out(args, "uncovered.txt"),
         "".join(name + "\n" for name in _names(g, res.uncovered)),
     )
-    if cfg.dump_matrix:
-        _write(_out(cfg, "motif_matrix.txt"), build_motif_matrix(g, sig).dump())
+    if args.dump_matrix:
+        _write(_out(args, "motif_matrix.txt"), build_motif_matrix(g, sig).dump())
     summary = (
         f"component={res.component} k={res.sweep_k} "
         f"phi_weighted={_fmt(res.phi_weighted)} alpha_typed={_fmt(res.alpha)} "
         f"lambda2={_fmt(res.lambda2)} beta={_fmt(res.beta)}"
     )
-    _write(_out(cfg, "summary.txt"), summary + "\n")
+    _write(_out(args, "summary.txt"), summary + "\n")
     print(f"motif={format_signature(sig, g)}")
     print(summary)
     return EXIT_OK
 
 
-def _cmd_partition(g: HeteroGraph, cfg: RunConfig) -> int:
-    sig = _resolve_motif(g, cfg)
-    res = recursive_bipartition(g, sig, cfg.parts)
+def _cmd_partition(g: HeteroGraph, args: argparse.Namespace) -> int:
+    sig = _resolve_motif(g, args)
+    res = recursive_bipartition(g, sig, args.parts)
     lines = []
     for i, part in enumerate(res.parts):
         lines.append(f"# part {i} size {len(part)}")
         lines.extend(_names(g, part))
-    _write(_out(cfg, "partition.txt"), "\n".join(lines) + ("\n" if lines else ""))
+    _write(_out(args, "partition.txt"), "\n".join(lines) + ("\n" if lines else ""))
     note = " (early stop)" if res.early_stop else ""
-    print(f"partition: {len(res.parts)} of {cfg.parts} parts{note}")
+    print(f"partition: {len(res.parts)} of {args.parts} parts{note}")
     return EXIT_OK
 
 
-def _cmd_embed(g: HeteroGraph, cfg: RunConfig) -> int:
-    sig = _resolve_motif(g, cfg)
-    Z = spectral_embedding(g, sig, cfg.dim, drop_trivial=cfg.drop_trivial)
+def _cmd_embed(g: HeteroGraph, args: argparse.Namespace) -> int:
+    sig = _resolve_motif(g, args)
+    Z = spectral_embedding(g, sig, args.dim, drop_trivial=args.drop_trivial)
     lines = [f"{Z.shape[0]} {Z.shape[1]}"]
     for row in Z:
         lines.append(" ".join(format(x, ".17g") for x in row))
-    _write(_out(cfg, "embedding.txt"), "\n".join(lines) + "\n")
+    _write(_out(args, "embedding.txt"), "\n".join(lines) + "\n")
     print(f"embedding: {Z.shape[0]} x {Z.shape[1]}")
     return EXIT_OK
 
 
-def _cmd_order(g: HeteroGraph, cfg: RunConfig) -> int:
-    sig = _resolve_motif(g, cfg)
+def _cmd_order(g: HeteroGraph, args: argparse.Namespace) -> int:
+    sig = _resolve_motif(g, args)
     res = spectral_ordering(g, sig)
-    _write(_out(cfg, "ordering.txt"), "\n".join(_names(g, res.order)) + "\n")
+    _write(_out(args, "ordering.txt"), "\n".join(_names(g, res.order)) + "\n")
     if not res.graphlet_present:
         print("warning: graphlet absent, emitted original order", file=sys.stderr)
     print(f"ordering: {len(res.order)} nodes")
     return EXIT_OK
 
 
-def _cmd_rank_motifs(g: HeteroGraph, cfg: RunConfig) -> int:
-    table = census(g, typing_mode=_typing_mode(cfg))
+def _cmd_rank_motifs(g: HeteroGraph, args: argparse.Namespace) -> int:
+    table = census(g, typing_mode=_typing_mode(args))
     ranking = rank_typed_graphlets(g, list(table))
     lines = ["signature lambda2 m beta"]
     for row in ranking.ranked:
@@ -290,27 +243,27 @@ def _cmd_rank_motifs(g: HeteroGraph, cfg: RunConfig) -> int:
             f"{format_signature(row.signature, g)} {_fmt(row.lambda2)} "
             f"{row.edge_count} {_fmt(row.beta)}"
         )
-    _write(_out(cfg, "motif_rank.txt"), "\n".join(lines) + "\n")
+    _write(_out(args, "motif_rank.txt"), "\n".join(lines) + "\n")
     print(f"ranked {len(ranking.ranked)} signatures")
     return EXIT_OK
 
 
-def _cmd_linkpred(g: HeteroGraph, cfg: RunConfig) -> int:
-    sig = _resolve_motif(g, cfg)
-    etype = _resolve_edge_type(g, cfg.edge_type)
-    ops = EDGE_OPERATORS if cfg.operator == "all" else (cfg.operator,)
+def _cmd_linkpred(g: HeteroGraph, args: argparse.Namespace) -> int:
+    sig = _resolve_motif(g, args)
+    etype = _resolve_edge_type(g, args.edge_type)
+    ops = EDGE_OPERATORS if args.operator == "all" else (args.operator,)
     for op in ops:
         if op not in EDGE_OPERATORS:
             raise ValueError(f"unknown edge operator '{op}'")
     results = [
         link_prediction_eval(
-            g, sig, cfg.dim, fraction=cfg.fraction, seed=cfg.seed + t,
-            edge_type=etype, operators=ops, drop_trivial=cfg.drop_trivial,
+            g, sig, args.dim, fraction=args.fraction, seed=args.seed + t,
+            edge_type=etype, operators=ops, drop_trivial=args.drop_trivial,
         )
-        for t in range(cfg.trials)
+        for t in range(args.trials)
     ]
     rendered = format_signature(sig, g)
-    lines = [f"# motif={rendered} dim={cfg.dim} fraction={_fmt(cfg.fraction)} seed={cfg.seed} trials={cfg.trials}"]
+    lines = [f"# motif={rendered} dim={args.dim} fraction={_fmt(args.fraction)} seed={args.seed} trials={args.trials}"]
     lines.append("seed operator f1 precision recall auc best")
     records = []
     for res in results:
@@ -333,24 +286,24 @@ def _cmd_linkpred(g: HeteroGraph, cfg: RunConfig) -> int:
                     "best": op == res.best_operator,
                 }
             )
-    if cfg.trials > 1:
+    if args.trials > 1:
         lines.append("# mean/std over trials")
         summary = summarize_trials(results)
         for op, stats in summary.items():
             parts = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(stats.items()))
             lines.append(f"{op} {parts}")
-    _write(_out(cfg, "linkpred.txt"), "\n".join(lines) + "\n")
+    _write(_out(args, "linkpred.txt"), "\n".join(lines) + "\n")
     payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _write(_out(cfg, "linkpred.jsonl"), payload)
+    _write(_out(args, "linkpred.jsonl"), payload)
     best = results[0].best_operator
     print(f"linkpred: motif={rendered} best_operator={best}")
     return EXIT_OK
 
 
-def _cmd_compress_eval(g: HeteroGraph, cfg: RunConfig) -> int:
-    sig = _resolve_motif(g, cfg)
+def _cmd_compress_eval(g: HeteroGraph, args: argparse.Namespace) -> int:
+    sig = _resolve_motif(g, args)
     native = compressed_size_estimate(g, list(range(g.node_count)))
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     perm = list(range(g.node_count))
     rng.shuffle(perm)
     rand_bytes = compressed_size_estimate(g, perm)
@@ -362,33 +315,9 @@ def _cmd_compress_eval(g: HeteroGraph, cfg: RunConfig) -> int:
         f"random {rand_bytes}",
         f"tgs {tgs_bytes}",
     ]
-    _write(_out(cfg, "compression.txt"), "\n".join(lines) + "\n")
+    _write(_out(args, "compression.txt"), "\n".join(lines) + "\n")
     print(f"compress-eval: native={native} random={rand_bytes} tgs={tgs_bytes}")
     return EXIT_OK
-
-
-_DISPATCH = {
-    "census": _cmd_census,
-    "cluster": _cmd_cluster,
-    "partition": _cmd_partition,
-    "embed": _cmd_embed,
-    "order": _cmd_order,
-    "rank-motifs": _cmd_rank_motifs,
-    "linkpred": _cmd_linkpred,
-    "compress-eval": _cmd_compress_eval,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    if cfg.trials < 1:
-        raise ValueError("trials must be at least 1")
-    g = read_typed_edge_list(cfg.input)
-    if g.collapsed_duplicates:
-        print(
-            f"note: collapsed {g.collapsed_duplicates} duplicate directed edges",
-            file=sys.stderr,
-        )
-    return _DISPATCH[cfg.command](g, cfg)
 
 
 def main(argv=None) -> int:
@@ -397,9 +326,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    cfg = _config_from_args(args)
     try:
-        return run(cfg)
+        # Checked before the input is read: a bad count must not cost a parse.
+        if getattr(args, "trials", 1) < 1:
+            raise ValueError("trials must be at least 1")
+        g = read_typed_edge_list(args.input)
+        if g.collapsed_duplicates:
+            print(
+                f"note: collapsed {g.collapsed_duplicates} duplicate directed edges",
+                file=sys.stderr,
+            )
+        return args.handler(g, args)
     except (EdgeListFormatError, UnknownTypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

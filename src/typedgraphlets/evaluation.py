@@ -283,14 +283,13 @@ class MetricsReport:
     threshold: float
 
 
-def compute_metrics(
-    scores: Sequence[float], labels: Sequence[int], threshold: float = 0.5
-) -> MetricsReport:
-    """Threshold metrics plus rank AUC (ties counted half).
+def compute_metrics(scores: Sequence[float], labels: Sequence[int]) -> MetricsReport:
+    """Metrics at the 0.5 score threshold plus rank AUC (ties counted half).
 
     With a single label class AUC is undefined and comes back as None while
     the threshold metrics are still produced.
     """
+    threshold = 0.5
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     if len(s) != len(y):
@@ -349,8 +348,6 @@ def link_prediction_eval(
     edge_type: int | None = None,
     operators: Sequence[str] = EDGE_OPERATORS,
     drop_trivial: bool = False,
-    l2: float = 1e-4,
-    iters: int = 500,
 ) -> LinkPredResult:
     """End-to-end seeded link-prediction run for one motif signature.
 
@@ -387,7 +384,7 @@ def link_prediction_eval(
         # gives the same values as one call per pair.
         X_train = edge_embed(Z[train_ends[:, 0]], Z[train_ends[:, 1]], op)
         X_test = edge_embed(Z[test_ends[:, 0]], Z[test_ends[:, 1]], op)
-        w = train_linear_classifier(X_train, y_train, l2=l2, iters=iters, seed=seed)
+        w = train_linear_classifier(X_train, y_train, seed=seed)
         reports[op] = compute_metrics(predict_scores(X_test, w), y_test)
     best = max(
         operators,

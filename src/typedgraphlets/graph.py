@@ -397,9 +397,13 @@ def weighted_conductance(g: WeightedGraph, s: Iterable[int]) -> float:
     return weighted_cut(g, side) / denom
 
 
-def _check_cut_search_size(n: int, max_nodes: int) -> None:
-    if n > max_nodes:
-        raise ValueError(f"brute force limited to {max_nodes} nodes, got {n}")
+# The exhaustive cut searches visit 2^(n-1) cuts.
+BRUTE_FORCE_MAX_CUT_NODES = 20
+
+
+def _check_cut_search_size(n: int) -> None:
+    if n > BRUTE_FORCE_MAX_CUT_NODES:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_CUT_NODES} nodes, got {n}")
     if n < 2:
         raise DegenerateCutError("graph too small to cut")
 
@@ -446,16 +450,14 @@ def _min_conductance_cut(
     return best_side, Fraction(cut, minvol)
 
 
-def brute_force_min_weighted_conductance(
-    g: WeightedGraph, max_nodes: int = 20
-) -> tuple[frozenset, Fraction]:
+def brute_force_min_weighted_conductance(g: WeightedGraph) -> tuple[frozenset, Fraction]:
     """Exact minimum weighted conductance by exhausting all cuts.
 
     Requires integer weights so the minimum is an exact Fraction. Cuts where
     one side has zero volume are excluded. Ties break toward the cut whose
     smaller side is smallest, then lexicographically by membership.
     """
-    _check_cut_search_size(g.node_count, max_nodes)
+    _check_cut_search_size(g.node_count)
     if g.degrees.dtype != np.int64:
         raise ValueError("exact brute force requires integer weights")
     us, vs = g.pairs.astype(np.uint32).T
@@ -493,7 +495,6 @@ def permute_graph(g: HeteroGraph, order: Sequence[int]) -> HeteroGraph:
 
 
 def inverse_permutation(order: Sequence[int]) -> list[int]:
-    inv = [0] * len(order)
-    for k, old in enumerate(order):
-        inv[old] = k
-    return inv
+    """The order that undoes ``order``; it must be a bijection on 0..n-1."""
+    _check_bijection(order, len(order))
+    return np.argsort(order).tolist()

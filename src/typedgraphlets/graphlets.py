@@ -63,18 +63,9 @@ SKELETONS: dict[str, Skeleton] = {
     )
 }
 
-# Enumeration order for census output and deterministic ranking.
-SKELETON_ORDER = (
-    "edge",
-    "wedge",
-    "triangle",
-    "4-path",
-    "4-star",
-    "4-cycle",
-    "tailed-triangle",
-    "diamond",
-    "4-clique",
-)
+# Enumeration order for census output and deterministic ranking: the order
+# the skeletons are listed in above.
+SKELETON_ORDER = tuple(SKELETONS)
 
 THREE_FOUR_NODE = SKELETON_ORDER[1:]
 

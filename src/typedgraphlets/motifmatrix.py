@@ -28,8 +28,6 @@ from .graph import (
 )
 from .graphlets import TypedGraphletSignature, instances_matching, _row_pair_keys
 
-BRUTE_FORCE_MAX_CUT_NODES = 20
-
 
 @dataclass
 class MotifMatrix:
@@ -132,8 +130,11 @@ def typed_conductance(
     A side whose typed volume is zero (no occurrence touches it) makes the
     measure undefined and raises ZeroVolumeError.
     """
-    side = _validate_cut(g.node_count, s)
-    mm = build_motif_matrix(g, sig)
+    return _typed_conductance(build_motif_matrix(g, sig), _validate_cut(g.node_count, s))
+
+
+def _typed_conductance(mm: MotifMatrix, side: frozenset) -> Fraction:
+    """Typed conductance of a validated cut, from W's degrees and the rows."""
     vol_s = int(mm.degrees[sorted(side)].sum())
     vol_rest = int(mm.degrees.sum()) - vol_s
     denom = min(vol_s, vol_rest)
@@ -161,17 +162,18 @@ def edge_expansion_measure(
 
 
 def brute_force_min_conductance(
-    g: HeteroGraph, sig: TypedGraphletSignature, max_nodes: int = BRUTE_FORCE_MAX_CUT_NODES
+    g: HeteroGraph, sig: TypedGraphletSignature
 ) -> tuple[frozenset, Fraction]:
     """Exact minimum typed-graphlet conductance over all cuts.
 
     Exhausts 2^(n-1) bipartitions, skipping cuts where a side has zero typed
     volume (nodes outside every occurrence make such cuts degenerate, and
     the minimum is taken over well-defined cuts only). Ties break toward the
-    smaller side, then lexicographic membership. Guarded to 20 nodes.
+    smaller side, then lexicographic membership. Guarded to
+    ``BRUTE_FORCE_MAX_CUT_NODES`` nodes.
     """
     n = g.node_count
-    _check_cut_search_size(n, max_nodes)
+    _check_cut_search_size(n)
     mm = build_motif_matrix(g, sig)
     if not len(mm.instances):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")

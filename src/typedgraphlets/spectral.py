@@ -16,7 +16,7 @@ from .graph import HeteroGraph, WeightedGraph, connected_components
 from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
     NormalizedLaplacian,
-    _instance_cut,
+    _typed_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
 )
@@ -195,11 +195,7 @@ def _beta_factor(lambda2: float, edge_count: int) -> float:
     return math.sqrt(8.0 / lambda2) * edge_count
 
 
-def cluster(
-    g: HeteroGraph,
-    sig: TypedGraphletSignature,
-    dense_threshold: int = DENSE_SOLVER_THRESHOLD,
-) -> ClusterResult:
+def cluster(g: HeteroGraph, sig: TypedGraphletSignature) -> ClusterResult:
     """Sweep-cut spectral clustering on the typed-graphlet matrix.
 
     Builds W, takes each connected component of its induced graph, sweeps
@@ -216,8 +212,6 @@ def cluster(
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     comps = _covered_components(gH)
-    if not comps:
-        raise GraphletAbsentError("no component of the motif graph has 2 or more nodes")
     covered: list[int] = sorted(v for comp in comps for v in comp)
     covered_set = set(covered)
 
@@ -225,7 +219,7 @@ def cluster(
     lambda2s: list[float] = []
     for comp in comps:
         lap = build_normalized_laplacian(gH, comp)
-        pairs = smallest_eigenpairs(lap, 2, dense_threshold)
+        pairs = smallest_eigenpairs(lap, 2)
         lambda2s.append(pairs[1].value)
         sweeps.append(sweep_cut(gH, pairs[1].vector, nodes=list(lap.nodes)))
 
@@ -247,18 +241,13 @@ def cluster(
     complement = sorted(covered_set - set(raw))
     chosen = raw if len(raw) < len(complement) else complement
 
-    alpha_cut = _instance_cut(mm.instances, frozenset(chosen))
-    vol_s = int(mm.degrees[sorted(chosen)].sum())
-    vol_rest = int(mm.degrees.sum()) - vol_s
-    alpha = Fraction(alpha_cut, min(vol_s, vol_rest))
-
     lam2 = lambda2s[ci]
     return ClusterResult(
         nodes=sorted(chosen),
         component=ci,
         sweep_k=sweep_k,
         phi_weighted=float(phi),
-        alpha=alpha,
+        alpha=_typed_conductance(mm, frozenset(chosen)),
         lambda2=lam2,
         beta=_beta_factor(lam2, sig.skeleton.edge_count),
         uncovered=mm.uncovered_nodes(),
@@ -321,11 +310,7 @@ class OrderingResult:
     graphlet_present: bool
 
 
-def spectral_ordering(
-    g: HeteroGraph,
-    sig: TypedGraphletSignature,
-    dense_threshold: int = DENSE_SOLVER_THRESHOLD,
-) -> OrderingResult:
+def spectral_ordering(g: HeteroGraph, sig: TypedGraphletSignature) -> OrderingResult:
     """Permutation of all nodes by second-eigenvector coordinate.
 
     Within each component of the motif graph, nodes sort by v2 ascending
@@ -343,7 +328,7 @@ def spectral_ordering(
     order: list[int] = []
     for comp in comps:
         lap = build_normalized_laplacian(gH, comp)
-        pairs = smallest_eigenpairs(lap, 2, dense_threshold)
+        pairs = smallest_eigenpairs(lap, 2)
         v2 = pairs[1].vector
         idx = np.argsort(v2, kind="stable")
         order.extend(int(lap.nodes[i]) for i in idx)
@@ -352,11 +337,7 @@ def spectral_ordering(
 
 
 def spectral_embedding(
-    g: HeteroGraph,
-    sig: TypedGraphletSignature,
-    dim: int,
-    drop_trivial: bool = False,
-    dense_threshold: int = DENSE_SOLVER_THRESHOLD,
+    g: HeteroGraph, sig: TypedGraphletSignature, dim: int, drop_trivial: bool = False
 ) -> np.ndarray:
     """N x dim row-normalized eigenvector embedding of the motif graph.
 
@@ -379,7 +360,7 @@ def spectral_embedding(
         d_eff = min(dim, lap.dim - offset)
         if d_eff < 1:
             continue
-        pairs = smallest_eigenpairs(lap, d_eff + offset, dense_threshold)
+        pairs = smallest_eigenpairs(lap, d_eff + offset)
         X = np.column_stack([p.vector for p in pairs[offset:]])
         norms = np.linalg.norm(X, axis=1)
         keep = norms > 0
@@ -405,9 +386,7 @@ class RankResult:
 
 
 def rank_typed_graphlets(
-    g: HeteroGraph,
-    sigs: Sequence[TypedGraphletSignature],
-    dense_threshold: int = DENSE_SOLVER_THRESHOLD,
+    g: HeteroGraph, sigs: Sequence[TypedGraphletSignature]
 ) -> RankResult:
     """Rank candidate graphlets by the approximation factor, best first.
 
@@ -427,7 +406,7 @@ def rank_typed_graphlets(
         comps = _covered_components(gH)
         comps.sort(key=lambda c: (-len(c), c[0]))
         lap = build_normalized_laplacian(gH, comps[0])
-        lam2 = smallest_eigenpairs(lap, 2, dense_threshold)[1].value
+        lam2 = smallest_eigenpairs(lap, 2)[1].value
         ranked.append(
             MotifRank(sig, lam2, sig.skeleton.edge_count, _beta_factor(lam2, sig.skeleton.edge_count))
         )

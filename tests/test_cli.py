@@ -103,6 +103,35 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert code == 5
 
 
+def test_oracle_check_passes_on_barbell(tmp_path, capsys):
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, _ = run_cli(tmp_path, "cluster", "--input", path, "--motif", "triangle",
+                      "--oracle-check")
+    assert code == 0
+    assert "oracle check failed" not in capsys.readouterr().err
+
+
+def test_oracle_check_catches_a_dropped_occurrence(tmp_path, capsys, monkeypatch):
+    from typedgraphlets.graphlets import enumerate_instances
+
+    monkeypatch.setattr("typedgraphlets.cli.enumerate_instances",
+                        lambda g, skel: enumerate_instances(g, skel)[1:])
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "cluster", "--input", path, "--motif", "triangle",
+                        "--oracle-check")
+    assert code == 1
+    assert "oracle check failed: enumeration mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_check_rejects_graphs_past_the_subset_scan_limit(tmp_path, capsys):
+    path = write_input(tmp_path, "".join(f"v{i} v{i + 1} U U\n" for i in range(64)))
+    code, _ = run_cli(tmp_path, "cluster", "--input", path, "--motif", "edge",
+                      "--oracle-check")
+    assert code == 1
+    assert "brute force limited to 64 nodes" in capsys.readouterr().err
+
+
 def test_order_and_embed_artifacts(tmp_path):
     path = write_input(tmp_path, BARBELL_FILE)
     code, out = run_cli(tmp_path, "order", "--input", path, "--motif", "triangle")

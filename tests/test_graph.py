@@ -298,6 +298,14 @@ def test_permute_rejects_non_bijection():
         permute_graph(g, [0, 0, 1])
 
 
+@pytest.mark.parametrize("order", [[0, 0, 1], [2, 2, 2], [0, 3]])
+def test_inverse_permutation_rejects_non_bijection(order):
+    # A repeated id used to yield a wrong inverse silently, an id past the
+    # end an IndexError; both now fail as permute_graph does.
+    with pytest.raises(ValueError, match="not a bijection"):
+        inverse_permutation(order)
+
+
 def test_hetero_graph_rejects_duplicates_and_loops():
     with pytest.raises(ValueError):
         make_graph(3, [(0, 1), (1, 0)])

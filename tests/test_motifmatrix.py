@@ -14,6 +14,7 @@ from typedgraphlets import (
     ZeroVolumeError,
     brute_force_instances,
     brute_force_min_conductance,
+    brute_force_min_weighted_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
     census,
@@ -216,6 +217,8 @@ def test_brute_force_guard_and_absent():
     big = make_graph(21, [])
     with pytest.raises(ValueError, match="20"):
         brute_force_min_conductance(big, tri_sig())
+    with pytest.raises(ValueError, match="20"):
+        brute_force_min_weighted_conductance(WeightedGraph(21, {(0, 1): 1}))
     empty = make_graph(4, [(0, 1)])
     with pytest.raises(GraphletAbsentError):
         brute_force_min_conductance(empty, tri_sig())
