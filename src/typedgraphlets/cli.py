@@ -252,9 +252,6 @@ def _cmd_linkpred(g: HeteroGraph, args: argparse.Namespace) -> int:
     sig = _resolve_motif(g, args)
     etype = _resolve_edge_type(g, args.edge_type)
     ops = EDGE_OPERATORS if args.operator == "all" else (args.operator,)
-    for op in ops:
-        if op not in EDGE_OPERATORS:
-            raise ValueError(f"unknown edge operator '{op}'")
     results = [
         link_prediction_eval(
             g, sig, args.dim, fraction=args.fraction, seed=args.seed + t,
@@ -327,9 +324,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        # Checked before the input is read: a bad count must not cost a parse.
+        # Checked before the input is read: a bad value must not cost a parse.
         if getattr(args, "trials", 1) < 1:
             raise ValueError("trials must be at least 1")
+        if getattr(args, "operator", "all") not in ("all", *EDGE_OPERATORS):
+            raise ValueError(f"unknown edge operator '{args.operator}'")
+        if not 0 < getattr(args, "fraction", 0.5) < 1:
+            raise ValueError("fraction must lie strictly between 0 and 1")
+        if getattr(args, "dim", 1) < 1:
+            raise ValueError("embedding dimension must be at least 1")
+        if getattr(args, "parts", 2) < 2:
+            raise ValueError("target_k must be at least 2")
         g = read_typed_edge_list(args.input)
         if g.collapsed_duplicates:
             print(

@@ -189,14 +189,14 @@ class WeightedGraph:
     """Symmetric nonnegative edge weights over dense integer nodes.
 
     Zero-weight pairs are dropped from the support; negative weights are
-    rejected. ``weights`` maps each support pair (u, v), u < v, to its
-    weight; ``pairs`` is the (nnz, 2) array of those keys in ``weights``
-    order and ``pair_weights`` their weights. Weights and weighted degrees
-    are kept as exact integers whenever every weight is integral.
+    rejected. ``pairs`` is the (nnz, 2) array of support pairs (u, v),
+    u < v, ``pair_weights`` their weights and ``degrees`` the weighted
+    degrees; ``weights`` is a dict view of the same pairs, in ``pairs``
+    order, built on first use. Weights and weighted degrees are kept as
+    exact integers whenever every weight is integral.
     """
 
     def __init__(self, node_count: int, weights: Mapping[tuple[int, int], float]):
-        self.node_count = node_count
         norm: dict[tuple[int, int], float] = {}
         for (u, v), w in weights.items():
             if u == v:
@@ -212,7 +212,7 @@ class WeightedGraph:
                 raise ValueError(f"conflicting weights for {key}")
             norm[key] = w
         integral = all(float(w).is_integer() for w in norm.values())
-        self._set_pairs(norm, np.array(list(norm), dtype=np.int64).reshape(-1, 2),
+        self._set_pairs(node_count, np.array(list(norm), dtype=np.int64).reshape(-1, 2),
                         np.array(list(norm.values()), dtype=np.int64 if integral else np.float64))
 
     @classmethod
@@ -226,25 +226,27 @@ class WeightedGraph:
         for the same pairs in the same order.
         """
         wg = cls.__new__(cls)
-        wg.node_count = node_count
-        keys = zip(pairs[:, 0].tolist(), pairs[:, 1].tolist())
-        weights = dict(zip(keys, pair_weights.tolist()))
-        wg._set_pairs(weights, pairs, pair_weights)
+        wg._set_pairs(node_count, pairs, pair_weights)
         return wg
 
-    def _set_pairs(self, weights: dict, pairs: np.ndarray, pair_weights: np.ndarray) -> None:
-        self.weights = weights
+    def _set_pairs(self, node_count: int, pairs: np.ndarray, pair_weights: np.ndarray) -> None:
+        self.node_count = node_count
         self.pairs = pairs
         self.pair_weights = pair_weights
-        deg = np.bincount(pairs.ravel(), np.repeat(pair_weights, 2), minlength=self.node_count)
+        deg = np.bincount(pairs.ravel(), np.repeat(pair_weights, 2), minlength=node_count)
         self.degrees = deg.astype(pair_weights.dtype)
+
+    @cached_property
+    def weights(self) -> dict[tuple[int, int], int | float]:
+        keys = zip(self.pairs[:, 0].tolist(), self.pairs[:, 1].tolist())
+        return dict(zip(keys, self.pair_weights.tolist()))
 
     @property
     def total_volume(self):
         return self.degrees.sum()
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"WeightedGraph(n={self.node_count}, nnz={len(self.weights)})"
+        return f"WeightedGraph(n={self.node_count}, nnz={len(self.pairs)})"
 
 
 def load_typed_edge_list(text: str) -> HeteroGraph:

@@ -494,13 +494,17 @@ def parse_signature_spec(
 ) -> TypedGraphletSignature:
     """Parse ``skeleton`` or ``skeleton:typeA,typeB,...`` against a graph.
 
-    With no type list the signature is an untyped wildcard. Type labels must
-    exist in the graph; the list length must match the skeleton's node count.
-    Edge types are left unconstrained (single-edge-type inputs make them
-    redundant anyway).
+    With no type list the signature is an untyped wildcard. The skeleton and
+    type labels must exist (UnknownTypeError otherwise), and the list length
+    must match the skeleton's node count. Edge types are left unconstrained
+    (single-edge-type inputs make them redundant anyway).
     """
     name, _, typepart = spec.partition(":")
-    skel = resolve_skeleton(name.strip())
+    name = name.strip()
+    try:
+        skel = resolve_skeleton(name)
+    except KeyError:
+        raise UnknownTypeError(f"signature '{spec}': unknown skeleton '{name}'") from None
     if not typepart:
         return TypedGraphletSignature(skel, None, None, typing_mode)
     labels = [t.strip() for t in typepart.split(",") if t.strip()]

@@ -162,13 +162,12 @@ def sweep_cut(
 
 @dataclass
 class ClusterResult:
-    """Best cluster found across the components of the motif graph.
+    """The chosen cluster of the motif graph and its quality measures.
 
     ``phi_weighted`` is the selection value (weighted conductance on the
     motif graph); ``alpha`` is the exact typed-graphlet conductance of the
-    returned cluster in the original graph. When the motif graph is
-    disconnected a whole component is perfectly separable, so the cluster is
-    a component and ``phi_weighted`` is 0.
+    returned cluster in the original graph. ``component`` is 0 by the
+    selection rule of :func:`cluster`, and ``lambda2`` is component 0's.
     """
 
     nodes: list[int]
@@ -198,58 +197,35 @@ def _beta_factor(lambda2: float, edge_count: int) -> float:
 def cluster(g: HeteroGraph, sig: TypedGraphletSignature) -> ClusterResult:
     """Sweep-cut spectral clustering on the typed-graphlet matrix.
 
-    Builds W, takes each connected component of its induced graph, sweeps
-    the component's second eigenvector, and keeps the minimum-conductance
-    candidate; with several components each whole component is also a
-    candidate at conductance 0. The reported cluster is the smaller of the
-    chosen side and its complement within the covered nodes, and its exact
-    typed conductance ``alpha`` is recomputed on the original graph so the
-    approximation guarantees can be checked against the weighted selection
-    value.
+    Component 0 of W's induced graph (holding the smallest covered node id)
+    gives ``lambda2``. A connected motif graph is swept along its second
+    eigenvector, and the cluster is the smaller side of the best prefix. A
+    disconnected one has a cut of conductance 0 that no sweep can beat, so
+    the cluster is component 0 if it is strictly smaller than the rest
+    together, else the rest, and ``sweep_k`` is the size of component 0.
     """
     mm = build_motif_matrix(g, sig)
     if not len(mm.instances):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     comps = _covered_components(gH)
-    covered: list[int] = sorted(v for comp in comps for v in comp)
-    covered_set = set(covered)
-
-    sweeps: list[SweepResult] = []
-    lambda2s: list[float] = []
-    for comp in comps:
-        lap = build_normalized_laplacian(gH, comp)
-        pairs = smallest_eigenpairs(lap, 2)
-        lambda2s.append(pairs[1].value)
-        sweeps.append(sweep_cut(gH, pairs[1].vector, nodes=list(lap.nodes)))
-
-    # Candidate tuples: (phi, component index, kind) with whole components
-    # ranked ahead of equal-phi sweeps for determinism.
-    candidates: list[tuple[float, int, int]] = [
-        (sw.best_conductance, ci, 1) for ci, sw in enumerate(sweeps)
-    ]
-    if len(comps) >= 2:
-        candidates.extend((0.0, ci, 0) for ci in range(len(comps)))
-    phi, ci, kind = min(candidates, key=lambda c: (c[0], c[2], c[1]))
-
-    if kind == 0:
-        raw = list(comps[ci])
-        sweep_k = len(comps[ci])
+    lap = build_normalized_laplacian(gH, comps[0])
+    second = smallest_eigenpairs(lap, 2)[1]
+    if len(comps) == 1:
+        sweep = sweep_cut(gH, second.vector, nodes=lap.nodes)
+        chosen, sweep_k, phi = sweep.cluster, sweep.best_k, sweep.best_conductance
     else:
-        raw = sweeps[ci].order[: sweeps[ci].best_k]
-        sweep_k = sweeps[ci].best_k
-    complement = sorted(covered_set - set(raw))
-    chosen = raw if len(raw) < len(complement) else complement
-
-    lam2 = lambda2s[ci]
+        rest = sorted(v for comp in comps[1:] for v in comp)
+        chosen = comps[0] if len(comps[0]) < len(rest) else rest
+        sweep_k, phi = len(comps[0]), 0.0
     return ClusterResult(
-        nodes=sorted(chosen),
-        component=ci,
+        nodes=chosen,
+        component=0,
         sweep_k=sweep_k,
-        phi_weighted=float(phi),
+        phi_weighted=phi,
         alpha=_typed_conductance(mm, frozenset(chosen)),
-        lambda2=lam2,
-        beta=_beta_factor(lam2, sig.skeleton.edge_count),
+        lambda2=second.value,
+        beta=_beta_factor(second.value, sig.skeleton.edge_count),
         uncovered=mm.uncovered_nodes(),
         component_count=len(comps),
     )

@@ -91,6 +91,13 @@ def test_unknown_type_exit_code(tmp_path):
     assert code == 3
 
 
+def test_unknown_skeleton_exit_code(tmp_path, capsys):
+    path = write_input(tmp_path, WEDGE_FILE)
+    code, _ = run_cli(tmp_path, "cluster", "--input", path, "--motif", "bogus")
+    assert code == 3
+    assert "error: signature 'bogus': unknown skeleton 'bogus'" in capsys.readouterr().err
+
+
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     from typedgraphlets.errors import EigenConvergenceError
 
@@ -195,6 +202,24 @@ def test_linkpred_rejects_trials_below_one(tmp_path, capsys, trials):
                         "--trials", trials)
     assert code == 1
     assert "error: trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["linkpred", "--motif", "best", "--operator", "bogus"], "unknown edge operator 'bogus'"),
+    (["linkpred", "--motif", "best", "--fraction", "1"],
+     "fraction must lie strictly between 0 and 1"),
+    (["linkpred", "--motif", "best", "--fraction", "0"],
+     "fraction must lie strictly between 0 and 1"),
+    (["linkpred", "--motif", "best", "--dim", "0"], "embedding dimension must be at least 1"),
+    (["embed", "--motif", "best", "--dim", "0"], "embedding dimension must be at least 1"),
+    (["partition", "--motif", "best", "--parts", "1"], "target_k must be at least 2"),
+])
+def test_range_checks_run_before_the_input_is_read(tmp_path, capsys, args, message):
+    # The input does not exist: a check that ran after the read would exit 3.
+    code, out = run_cli(tmp_path, *args, "--input", str(tmp_path / "nope.txt"))
+    assert code == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -139,6 +139,16 @@ def test_weighted_graph_drops_zero_and_rejects_negative():
         WeightedGraph(2, {(0, 1): -1})
 
 
+def test_weighted_graph_stores_pair_arrays_and_builds_the_dict_view_on_read():
+    wg = WeightedGraph.from_pairs(4, np.array([[0, 1], [2, 3], [1, 2]], dtype=np.int64),
+                                  np.array([2, 5, 1], dtype=np.int64))
+    assert "weights" not in vars(wg)
+    assert list(wg.weights.items()) == [((0, 1), 2), ((2, 3), 5), ((1, 2), 1)]
+    assert all(type(w) is int for w in wg.weights.values())
+    assert list(WeightedGraph(3, {(1, 0): 1.5, (1, 2): 2}).weights.items()) == [
+        ((0, 1), 1.5), ((1, 2), 2.0)]
+
+
 def test_weighted_degree_sum_identity():
     wg = WeightedGraph(4, {(0, 1): 2, (1, 2): 3, (2, 3): 1})
     assert int(wg.degrees.sum()) == 2 * (2 + 3 + 1)

@@ -5,8 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import typedgraphlets.spectral as spectral
 from typedgraphlets import (
+    ClusterResult,
     GraphletAbsentError,
+    SKELETON_ORDER,
     SKELETONS,
     TypedGraphletSignature,
     WeightedGraph,
@@ -19,12 +22,14 @@ from typedgraphlets import (
     normalized_laplacian,
     parse_signature_spec,
     permute_graph,
+    planted_partition,
     rank_typed_graphlets,
     recursive_bipartition,
     smallest_eigenpairs,
     spectral_embedding,
     spectral_ordering,
     sweep_cut,
+    typed_conductance,
     weighted_conductance,
     weighted_cut,
 )
@@ -276,6 +281,110 @@ def test_cluster_deterministic():
     assert a.nodes == b.nodes
     assert a.phi_weighted == b.phi_weighted
     assert a.alpha == b.alpha
+
+
+def reference_cluster(g, sig):
+    """The candidate search ``cluster`` used to run, kept as its oracle.
+
+    Every component of the motif graph is eigensolved and swept; with
+    several components each whole component is also a candidate at
+    conductance 0. Candidates rank by (phi, whole component first,
+    component index), and the cluster is the smaller of the chosen side and
+    its complement within the covered nodes.
+    """
+    mm = build_motif_matrix(g, sig)
+    gH = mm.induced_graph()
+    labels, count = connected_components(gH)
+    comps = [c for c in (np.flatnonzero(labels == i).tolist() for i in range(count))
+             if len(c) >= 2]
+    covered = {v for comp in comps for v in comp}
+    sweeps, lambda2s = [], []
+    for comp in comps:
+        lap = build_normalized_laplacian(gH, comp)
+        pairs = smallest_eigenpairs(lap, 2)
+        lambda2s.append(pairs[1].value)
+        sweeps.append(sweep_cut(gH, pairs[1].vector, nodes=list(lap.nodes)))
+    candidates = [(sw.best_conductance, 1, ci) for ci, sw in enumerate(sweeps)]
+    if len(comps) >= 2:
+        candidates.extend((0.0, 0, ci) for ci in range(len(comps)))
+    phi, kind, ci = min(candidates)
+    if kind == 0:
+        raw, sweep_k = comps[ci], len(comps[ci])
+    else:
+        raw, sweep_k = sweeps[ci].order[: sweeps[ci].best_k], sweeps[ci].best_k
+    complement = sorted(covered - set(raw))
+    chosen = sorted(raw) if len(raw) < len(complement) else complement
+    lam2 = lambda2s[ci]
+    return ClusterResult(
+        nodes=chosen,
+        component=ci,
+        sweep_k=sweep_k,
+        phi_weighted=float(phi),
+        alpha=typed_conductance(g, sig, chosen),
+        lambda2=lam2,
+        beta=math.inf if lam2 <= 1e-14 else math.sqrt(8.0 / lam2) * sig.skeleton.edge_count,
+        uncovered=np.flatnonzero(mm.degrees == 0).tolist(),
+        component_count=len(comps),
+    )
+
+
+def test_cluster_equals_the_candidate_search_oracle():
+    multi = 0
+    for seed in range(24):
+        g, _ = planted_partition([8, 8, 8], 0.45, 0.02, type_count=2, seed=seed)
+        sigs = [TypedGraphletSignature(SKELETONS[name]) for name in SKELETON_ORDER]
+        sigs += [s for s in (top_signature(g, name) for name in SKELETON_ORDER) if s]
+        for sig in sigs:
+            if not len(build_motif_matrix(g, sig).instances):
+                continue
+            got = cluster(g, sig)
+            assert got == reference_cluster(g, sig), (seed, sig)
+            assert type(got.alpha) is Fraction
+            multi += got.component_count >= 2
+    assert multi >= 100
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(spectral, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, name, counted)
+    return calls
+
+
+def test_disconnected_motif_graph_solves_component_zero_and_sweeps_nothing(monkeypatch):
+    solves = count_calls(monkeypatch, "smallest_eigenpairs")
+    sweeps = count_calls(monkeypatch, "sweep_cut")
+    res = cluster(barbell(), TRI_SIG)
+    assert (len(solves), len(sweeps)) == (1, 0)
+    # component 0 is {0, 1, 2}; it is not strictly smaller than {3, 4, 5}
+    assert res.nodes == [3, 4, 5]
+    assert res.lambda2 == pytest.approx(1.5, abs=1e-12)
+    assert res.sweep_k == 3
+    assert res.component == 0
+
+
+def test_connected_motif_graph_solves_and_sweeps_once(monkeypatch):
+    solves = count_calls(monkeypatch, "smallest_eigenpairs")
+    sweeps = count_calls(monkeypatch, "sweep_cut")
+    res = cluster(connected_random_graph(3, 12, 0.3), EDGE_SIG)
+    assert (len(solves), len(sweeps)) == (1, 1)
+    assert res.component_count == 1
+
+
+def test_cluster_returns_the_other_components_when_component_zero_is_not_smaller():
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    g = make_graph(8, k4 + [(4, 5), (6, 7)])
+    res = cluster(g, EDGE_SIG)
+    assert res.nodes == [4, 5, 6, 7]
+    assert res.sweep_k == 4
+    assert res.alpha == 0
+    assert res.lambda2 == pytest.approx(4 / 3, abs=1e-12)
+    assert res.component_count == 3
 
 
 # ---------------------------------------------------------------- classical reduction
