@@ -295,7 +295,7 @@ def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
     """
     skel = resolve_skeleton(skel)
     if skel.node_count == 4:
-        return _tuples(g, _four_node_rows(g)[skel.name])
+        return _tuples(g, _occurrence_rows(g, skel))
     return _tuples(g, _SMALL_SHAPES[skel.name](g))
 
 

@@ -79,12 +79,16 @@ class NormalizedLaplacian:
 
 
 def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatrix:
-    """W entry (i, j), i < j: matching occurrences that contain edge (i, j).
+    """W entry (i, j), i < j: matching occurrences that contain edge (i, j)."""
+    return _motif_matrix(g, sig, instances_matching(g, sig))
+
+
+def _motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature, rows: np.ndarray) -> MotifMatrix:
+    """W of the given occurrence rows of ``sig`` in ``g``.
 
     Every node pair of an occurrence row that is a graph edge is an edge of
     the induced occurrence; W counts those pairs by their ``i * n + j`` key.
     """
-    rows = instances_matching(g, sig)
     n = g.node_count
     keys = _row_pair_keys(g, rows).ravel()
     keys, counts = np.unique(keys[g.pair_edge_types(keys) >= 0], return_counts=True)

@@ -15,7 +15,9 @@ from .errors import EigenConvergenceError, GraphletAbsentError, ZeroVolumeError
 from .graph import HeteroGraph, WeightedGraph, connected_components
 from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
+    MotifMatrix,
     NormalizedLaplacian,
+    _motif_matrix,
     _typed_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
@@ -204,7 +206,10 @@ def cluster(g: HeteroGraph, sig: TypedGraphletSignature) -> ClusterResult:
     the cluster is component 0 if it is strictly smaller than the rest
     together, else the rest, and ``sweep_k`` is the size of component 0.
     """
-    mm = build_motif_matrix(g, sig)
+    return _cluster(build_motif_matrix(g, sig))
+
+
+def _cluster(mm: MotifMatrix) -> ClusterResult:
     if not len(mm.instances):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
@@ -225,7 +230,7 @@ def cluster(g: HeteroGraph, sig: TypedGraphletSignature) -> ClusterResult:
         phi_weighted=phi,
         alpha=_typed_conductance(mm, frozenset(chosen)),
         lambda2=second.value,
-        beta=_beta_factor(second.value, sig.skeleton.edge_count),
+        beta=_beta_factor(second.value, mm.signature.skeleton.edge_count),
         uncovered=mm.uncovered_nodes(),
         component_count=len(comps),
     )
@@ -242,41 +247,33 @@ def recursive_bipartition(
 ) -> PartitionResult:
     """Split the covered nodes into up to ``target_k`` parts.
 
-    Repeatedly applies :func:`cluster` to the largest remaining part (as an
-    induced subgraph). A part whose subgraph no longer contains the graphlet
-    stops splitting; running out of splittable parts before reaching the
-    target is an early stop, not a failure.
+    Repeatedly applies :func:`cluster`'s rule to the largest splittable part.
+    A part's motif matrix comes from the parent's occurrence rows that lie
+    wholly inside it, which are exactly the occurrences of its induced
+    subgraph. A part with no such row stops splitting; running out of
+    splittable parts before reaching the target is an early stop.
     """
     if target_k < 2:
         raise ValueError("target_k must be at least 2")
     mm = build_motif_matrix(g, sig)
-    covered = mm.covered_nodes()
-    if not covered:
+    parts = [mm.covered_nodes()]
+    if not parts[0]:
         return PartitionResult([], True)
-    parts: list[list[int]] = [sorted(covered)]
-    exhausted: set[int] = set()
-    while len(parts) < target_k:
-        order = sorted(
-            (i for i in range(len(parts)) if i not in exhausted),
-            key=lambda i: (-len(parts[i]), parts[i][0]),
-        )
-        if not order:
-            break
-        idx = order[0]
-        part = parts[idx]
-        sub, back = g.subgraph(part)
+    splittable = [True]
+    while len(parts) < target_k and any(splittable):
+        idx = min((i for i, ok in enumerate(splittable) if ok),
+                  key=lambda i: (-len(parts[i]), parts[i][0]))
+        inside = np.zeros(g.node_count, dtype=bool)
+        inside[parts[idx]] = True
+        rows = mm.instances[inside[mm.instances].all(axis=1)]
         try:
-            res = cluster(sub, sig)
+            side = _cluster(_motif_matrix(g, sig, rows)).nodes
         except GraphletAbsentError:
-            exhausted.add(idx)
+            splittable[idx] = False
             continue
-        side = sorted(back[v] for v in res.nodes)
-        rest = sorted(set(part) - set(side))
-        if not rest:
-            exhausted.add(idx)
-            continue
+        rest = sorted(set(parts[idx]) - set(side))
         parts[idx : idx + 1] = [side, rest]
-        exhausted = {i if i < idx else i + 1 for i in exhausted}
+        splittable[idx : idx + 1] = [True, True]
     return PartitionResult(parts, early_stop=len(parts) < target_k)
 
 
@@ -334,8 +331,6 @@ def spectral_embedding(
         lap = build_normalized_laplacian(gH, comp)
         offset = 1 if drop_trivial else 0
         d_eff = min(dim, lap.dim - offset)
-        if d_eff < 1:
-            continue
         pairs = smallest_eigenpairs(lap, d_eff + offset)
         X = np.column_stack([p.vector for p in pairs[offset:]])
         norms = np.linalg.norm(X, axis=1)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from typedgraphlets import parse_signature_spec, read_typed_edge_list, spectral_embedding
 from typedgraphlets.cli import main
 
 BARBELL_FILE = """# two typed triangles joined by a bridge
@@ -152,6 +153,21 @@ def test_order_and_embed_artifacts(tmp_path):
     lines = (out2 / "embedding.txt").read_text().splitlines()
     assert lines[0] == "6 2"
     assert len(lines) == 7
+
+
+def test_embed_drop_trivial_artifact(tmp_path):
+    path = write_input(tmp_path, BARBELL_FILE)
+    args = ["embed", "--input", path, "--motif", "triangle", "--dim", "2"]
+    code, out = run_cli(tmp_path, *args, "--drop-trivial")
+    assert code == 0
+    dropped = (out / "embedding.txt").read_text()
+    g = read_typed_edge_list(path)
+    Z = spectral_embedding(g, parse_signature_spec(g, "triangle"), 2, drop_trivial=True)
+    assert dropped.splitlines() == ["6 2"] + [" ".join(format(x, ".17g") for x in row)
+                                              for row in Z]
+    code, out = run_cli(tmp_path, *args)
+    assert code == 0
+    assert (out / "embedding.txt").read_text() != dropped
 
 
 def test_partition_artifact(tmp_path, capsys):

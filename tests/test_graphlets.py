@@ -324,6 +324,22 @@ def test_census_and_ranking_enumerate_each_skeleton_once(monkeypatch):
     assert calls == {"wedge": 1, "triangle": 1, "4-node": 1}
 
 
+def test_enumerate_instances_reads_the_four_node_table(monkeypatch):
+    expansions = []
+    four_original = graphlets._four_node_rows
+
+    def counting_four(g):
+        expansions.append(g)
+        return four_original(g)
+
+    monkeypatch.setattr(graphlets, "_four_node_rows", counting_four)
+    g = random_graph(9, 14, 0.35, n_type_count=2)
+    listed = enumerate_instances(g, "4-cycle")
+    rows = instances_matching(g, TypedGraphletSignature(SKELETONS["4-cycle"]))
+    assert listed and listed == [tuple(row) for row in rows.tolist()]
+    assert expansions == [g]
+
+
 def test_occurrence_tables_die_with_their_graph():
     g = random_graph(8, 12, 0.4, n_type_count=2)
     census(g)

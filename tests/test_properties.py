@@ -1,4 +1,5 @@
-"""Property tests: the enumerator against its oracle, and relabelling invariance.
+"""Property tests: the enumerator against its oracle, relabelling invariance,
+and the occurrences of an induced subgraph.
 
 Examples are derandomised so every run checks the same graphs.
 """
@@ -17,6 +18,7 @@ from typedgraphlets import (
     census,
     enumerate_all_instances,
     permute_graph,
+    signature_of,
 )
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
@@ -59,3 +61,26 @@ def test_census_and_motif_matrix_invariant_under_relabelling(g, rng):
             moved = {tuple(sorted((pos[u], pos[v]))): w
                      for (u, v), w in build_motif_matrix(g, sig).weights.items()}
             assert build_motif_matrix(h, sig).weights == moved
+
+
+@st.composite
+def graphs_with_node_subsets(draw):
+    g = draw(typed_graphs())
+    nodes = draw(st.sets(st.integers(0, g.node_count - 1))) if g.node_count else set()
+    return g, sorted(nodes)
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_node_subsets())
+def test_subgraph_occurrences_are_the_parent_rows_inside_it(case):
+    # recursive_bipartition builds each part's motif matrix on this identity
+    g, nodes = case
+    sub, back = g.subgraph(nodes)
+    parent = enumerate_all_instances(g)
+    for name, rows in enumerate_all_instances(sub).items():
+        mapped = [tuple(back[v] for v in row) for row in rows]
+        assert mapped == [row for row in parent[name] if set(row) <= set(nodes)]
+        skel = SKELETONS[name]
+        for mode in ("multiset", "set", "strict"):
+            for row, old in zip(rows, mapped):
+                assert signature_of(sub, row, skel, mode) == signature_of(g, old, skel, mode)

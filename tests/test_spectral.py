@@ -9,6 +9,8 @@ import typedgraphlets.spectral as spectral
 from typedgraphlets import (
     ClusterResult,
     GraphletAbsentError,
+    HeteroGraph,
+    PartitionResult,
     SKELETON_ORDER,
     SKELETONS,
     TypedGraphletSignature,
@@ -19,12 +21,14 @@ from typedgraphlets import (
     census,
     cluster,
     connected_components,
+    graphlets,
     normalized_laplacian,
     parse_signature_spec,
     permute_graph,
     planted_partition,
     rank_typed_graphlets,
     recursive_bipartition,
+    resolve_skeleton,
     smallest_eigenpairs,
     spectral_embedding,
     spectral_ordering,
@@ -429,6 +433,86 @@ def test_partition_early_stop_when_unsplittable():
     assert res.early_stop
     assert len(res.parts) == 2
     assert sorted(v for part in res.parts for v in part) == [0, 1, 2]
+
+
+def reference_partition(g, sig, target_k, absent=None):
+    """The subgraph route ``recursive_bipartition`` used to run, kept as its oracle.
+
+    Each split builds the induced subgraph on the largest remaining part,
+    enumerates and types it again through :func:`cluster`, and maps the side
+    back. ``absent`` collects the parts whose subgraph holds no occurrence.
+    """
+    covered = build_motif_matrix(g, sig).covered_nodes()
+    if not covered:
+        return PartitionResult([], True)
+    parts = [sorted(covered)]
+    exhausted = set()
+    while len(parts) < target_k:
+        order = sorted(
+            (i for i in range(len(parts)) if i not in exhausted),
+            key=lambda i: (-len(parts[i]), parts[i][0]),
+        )
+        if not order:
+            break
+        idx = order[0]
+        part = parts[idx]
+        sub, back = g.subgraph(part)
+        try:
+            res = cluster(sub, sig)
+        except GraphletAbsentError:
+            if absent is not None:
+                absent.append(part)
+            exhausted.add(idx)
+            continue
+        side = sorted(back[v] for v in res.nodes)
+        rest = sorted(set(part) - set(side))
+        parts[idx : idx + 1] = [side, rest]
+        exhausted = {i if i < idx else i + 1 for i in exhausted}
+    return PartitionResult(parts, early_stop=len(parts) < target_k)
+
+
+def test_partition_equals_the_subgraph_route():
+    early = four_node_splits = 0
+    absent = []
+    for seed in range(4):
+        g, _ = planted_partition([8, 8, 8, 8], 0.45, 0.03, type_count=2, seed=seed)
+        sigs = [TypedGraphletSignature(SKELETONS[name]) for name in SKELETON_ORDER]
+        sigs += [s for s in (top_signature(g, name, mode) for name in SKELETON_ORDER
+                             for mode in ("multiset", "strict")) if s]
+        for sig in sigs:
+            for k in (2, 3, 5, 8):
+                got = recursive_bipartition(g, sig, k)
+                assert got == reference_partition(g, sig, k, absent), (seed, sig, k)
+                early += got.early_stop
+                four_node_splits += sig.skeleton.node_count == 4 and len(got.parts) > 2
+    assert early >= 10 and len(absent) >= 10 and four_node_splits >= 10
+
+
+def test_partition_enumerates_once_and_builds_no_subgraph(monkeypatch):
+    calls = []
+    enumerate_original = graphlets.enumerate_instances
+    four_original = graphlets._four_node_rows
+
+    def counting_enumerate(g, skel):
+        calls.append(resolve_skeleton(skel).name)
+        return enumerate_original(g, skel)
+
+    def counting_four(g):
+        calls.append("4-node")
+        return four_original(g)
+
+    def fresh_graph():
+        return planted_partition([8, 8, 8], 0.6, 0.05, type_count=2, seed=1)[0]
+
+    monkeypatch.setattr(HeteroGraph, "subgraph", lambda *args: calls.append("subgraph"))
+    monkeypatch.setattr(graphlets, "enumerate_instances", counting_enumerate)
+    monkeypatch.setattr(graphlets, "_four_node_rows", counting_four)
+    for name in SKELETON_ORDER:
+        for sig in (TypedGraphletSignature(SKELETONS[name]), top_signature(fresh_graph(), name, "strict")):
+            calls.clear()
+            res = recursive_bipartition(fresh_graph(), sig, 8)
+            assert len(res.parts) >= 3, sig
+            assert calls == [name if sig.skeleton.node_count < 4 else "4-node"], sig
 
 
 # ---------------------------------------------------------------- ordering
