@@ -122,29 +122,27 @@ def _typing_mode(args: argparse.Namespace) -> str:
     return "strict" if args.strict_types else "multiset"
 
 
+def _ranking(g: HeteroGraph, args: argparse.Namespace):
+    return rank_typed_graphlets(g, list(census(g, typing_mode=_typing_mode(args))))
+
+
 def _resolve_motif(g: HeteroGraph, args: argparse.Namespace):
-    mode = _typing_mode(args)
     if args.motif == "best":
-        table = census(g, typing_mode=mode)
-        ranking = rank_typed_graphlets(g, list(table))
+        ranking = _ranking(g, args)
         if not ranking.ranked:
             raise GraphletAbsentError("no typed graphlet occurs in this graph")
         return ranking.ranked[0].signature
-    return parse_signature_spec(g, args.motif, mode)
+    return parse_signature_spec(g, args.motif, _typing_mode(args))
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write(args: argparse.Namespace, filename: str, text: str) -> None:
+    os.makedirs(args.output_dir, exist_ok=True)
+    with open(os.path.join(args.output_dir, filename), "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
 def _names(g: HeteroGraph, nodes) -> list[str]:
     return [g.node_names[v] for v in nodes]
-
-
-def _out(args: argparse.Namespace, filename: str) -> str:
-    os.makedirs(args.output_dir, exist_ok=True)
-    return os.path.join(args.output_dir, filename)
 
 
 def _resolve_edge_type(g: HeteroGraph, label: str | None) -> int | None:
@@ -165,10 +163,10 @@ def _cmd_census(g: HeteroGraph, args: argparse.Namespace) -> int:
         records.append(
             {"skeleton": sig.skeleton.name, "signature": rendered, "count": count}
         )
-    _write(_out(args, "census.txt"), "\n".join(lines) + ("\n" if lines else ""))
+    _write(args, "census.txt", "\n".join(lines) + ("\n" if lines else ""))
     if args.records:
         payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        _write(_out(args, "census.jsonl"), payload)
+        _write(args, "census.jsonl", payload)
     print(f"census: {len(table)} signatures over {sum(table.values())} occurrences")
     return EXIT_OK
 
@@ -182,19 +180,16 @@ def _cmd_cluster(g: HeteroGraph, args: argparse.Namespace) -> int:
             print("oracle check failed: enumeration mismatch", file=sys.stderr)
             return EXIT_ERROR
     res = cluster(g, sig)
-    _write(_out(args, "cluster.txt"), "\n".join(_names(g, res.nodes)) + "\n")
-    _write(
-        _out(args, "uncovered.txt"),
-        "".join(name + "\n" for name in _names(g, res.uncovered)),
-    )
+    _write(args, "cluster.txt", "\n".join(_names(g, res.nodes)) + "\n")
+    _write(args, "uncovered.txt", "".join(f"{name}\n" for name in _names(g, res.uncovered)))
     if args.dump_matrix:
-        _write(_out(args, "motif_matrix.txt"), build_motif_matrix(g, sig).dump())
+        _write(args, "motif_matrix.txt", build_motif_matrix(g, sig).dump())
     summary = (
         f"component={res.component} k={res.sweep_k} "
         f"phi_weighted={_fmt(res.phi_weighted)} alpha_typed={_fmt(res.alpha)} "
         f"lambda2={_fmt(res.lambda2)} beta={_fmt(res.beta)}"
     )
-    _write(_out(args, "summary.txt"), summary + "\n")
+    _write(args, "summary.txt", summary + "\n")
     print(f"motif={format_signature(sig, g)}")
     print(summary)
     return EXIT_OK
@@ -207,7 +202,7 @@ def _cmd_partition(g: HeteroGraph, args: argparse.Namespace) -> int:
     for i, part in enumerate(res.parts):
         lines.append(f"# part {i} size {len(part)}")
         lines.extend(_names(g, part))
-    _write(_out(args, "partition.txt"), "\n".join(lines) + ("\n" if lines else ""))
+    _write(args, "partition.txt", "\n".join(lines) + ("\n" if lines else ""))
     note = " (early stop)" if res.early_stop else ""
     print(f"partition: {len(res.parts)} of {args.parts} parts{note}")
     return EXIT_OK
@@ -219,7 +214,7 @@ def _cmd_embed(g: HeteroGraph, args: argparse.Namespace) -> int:
     lines = [f"{Z.shape[0]} {Z.shape[1]}"]
     for row in Z:
         lines.append(" ".join(format(x, ".17g") for x in row))
-    _write(_out(args, "embedding.txt"), "\n".join(lines) + "\n")
+    _write(args, "embedding.txt", "\n".join(lines) + "\n")
     print(f"embedding: {Z.shape[0]} x {Z.shape[1]}")
     return EXIT_OK
 
@@ -227,7 +222,7 @@ def _cmd_embed(g: HeteroGraph, args: argparse.Namespace) -> int:
 def _cmd_order(g: HeteroGraph, args: argparse.Namespace) -> int:
     sig = _resolve_motif(g, args)
     res = spectral_ordering(g, sig)
-    _write(_out(args, "ordering.txt"), "\n".join(_names(g, res.order)) + "\n")
+    _write(args, "ordering.txt", "\n".join(_names(g, res.order)) + "\n")
     if not res.graphlet_present:
         print("warning: graphlet absent, emitted original order", file=sys.stderr)
     print(f"ordering: {len(res.order)} nodes")
@@ -235,15 +230,14 @@ def _cmd_order(g: HeteroGraph, args: argparse.Namespace) -> int:
 
 
 def _cmd_rank_motifs(g: HeteroGraph, args: argparse.Namespace) -> int:
-    table = census(g, typing_mode=_typing_mode(args))
-    ranking = rank_typed_graphlets(g, list(table))
+    ranking = _ranking(g, args)
     lines = ["signature lambda2 m beta"]
     for row in ranking.ranked:
         lines.append(
             f"{format_signature(row.signature, g)} {_fmt(row.lambda2)} "
             f"{row.edge_count} {_fmt(row.beta)}"
         )
-    _write(_out(args, "motif_rank.txt"), "\n".join(lines) + "\n")
+    _write(args, "motif_rank.txt", "\n".join(lines) + "\n")
     print(f"ranked {len(ranking.ranked)} signatures")
     return EXIT_OK
 
@@ -289,9 +283,9 @@ def _cmd_linkpred(g: HeteroGraph, args: argparse.Namespace) -> int:
         for op, stats in summary.items():
             parts = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(stats.items()))
             lines.append(f"{op} {parts}")
-    _write(_out(args, "linkpred.txt"), "\n".join(lines) + "\n")
+    _write(args, "linkpred.txt", "\n".join(lines) + "\n")
     payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _write(_out(args, "linkpred.jsonl"), payload)
+    _write(args, "linkpred.jsonl", payload)
     best = results[0].best_operator
     print(f"linkpred: motif={rendered} best_operator={best}")
     return EXIT_OK
@@ -312,7 +306,7 @@ def _cmd_compress_eval(g: HeteroGraph, args: argparse.Namespace) -> int:
         f"random {rand_bytes}",
         f"tgs {tgs_bytes}",
     ]
-    _write(_out(args, "compression.txt"), "\n".join(lines) + "\n")
+    _write(args, "compression.txt", "\n".join(lines) + "\n")
     print(f"compress-eval: native={native} random={rand_bytes} tgs={tgs_bytes}")
     return EXIT_OK
 
@@ -335,14 +329,17 @@ def main(argv=None) -> int:
             raise ValueError("embedding dimension must be at least 1")
         if getattr(args, "parts", 2) < 2:
             raise ValueError("target_k must be at least 2")
-        g = read_typed_edge_list(args.input)
+        try:
+            g = read_typed_edge_list(args.input)
+        except OSError as exc:
+            raise EdgeListFormatError(str(exc)) from exc
         if g.collapsed_duplicates:
             print(
                 f"note: collapsed {g.collapsed_duplicates} duplicate directed edges",
                 file=sys.stderr,
             )
         return args.handler(g, args)
-    except (EdgeListFormatError, UnknownTypeError, OSError) as exc:
+    except (EdgeListFormatError, UnknownTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except GraphletAbsentError as exc:
@@ -351,7 +348,7 @@ def main(argv=None) -> int:
     except EigenConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (DegenerateCutError, ZeroVolumeError, ValueError) as exc:
+    except (DegenerateCutError, ZeroVolumeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -56,13 +56,10 @@ class EdgeDataset:
     edge_type: int | None
 
 
-def _type_patterns(g: HeteroGraph, edge_indices: Sequence[int]) -> set[tuple[int, int]]:
-    pats = set()
-    for i in edge_indices:
-        u, v = g.edges[i]
-        tu, tv = g.node_types[u], g.node_types[v]
-        pats.add((tu, tv) if tu <= tv else (tv, tu))
-    return pats
+def _type_patterns(g: HeteroGraph, ends: np.ndarray) -> set[tuple[int, int]]:
+    """The (min, max) endpoint-type pairs of the edge rows ``ends``."""
+    types = np.sort(np.asarray(g.node_types, dtype=np.int64)[ends], axis=1)
+    return set(zip(*np.unique(types, axis=0).T.tolist()))
 
 
 def _pattern_table(patterns: set[tuple[int, int]], type_count: int) -> np.ndarray:
@@ -101,10 +98,11 @@ def _sample_nonedges(
     are matched exactly as given, so only (u, v) with u < v can exclude.
     """
     n = g.node_count
+    table = _pattern_table(patterns, g.node_type_count)
     if n * (n - 1) // 2 <= _ENUMERATE_PAIR_LIMIT:
         us, vs = np.triu_indices(n, 1)
         types = np.asarray(g.node_types, dtype=np.int64)
-        ok = _pattern_table(patterns, g.node_type_count)[types[us], types[vs]]
+        ok = table[types[us], types[vs]]
         ok[_triu_positions(g.edge_array, n)] = False
         ok[_triu_positions(_valid_pairs(exclude, n), n)] = False
         cands = np.flatnonzero(ok)
@@ -124,14 +122,10 @@ def _sample_nonedges(
         budget -= 1
         u = rng.randrange(n)
         v = rng.randrange(n)
-        if u == v:
+        if u == v or not table[g.node_types[u], g.node_types[v]]:
             continue
         pair = (u, v) if u < v else (v, u)
         if pair in edge_set or pair in exclude or pair in seen:
-            continue
-        tu, tv = g.node_types[pair[0]], g.node_types[pair[1]]
-        key = (tu, tv) if tu <= tv else (tv, tu)
-        if key not in patterns:
             continue
         seen.add(pair)
         picked.append(pair)
@@ -157,27 +151,31 @@ def split_edges(
     if not 0 < fraction < 1:
         raise ValueError("fraction must lie strictly between 0 and 1")
     rng = random.Random(seed)
-    eligible = [
-        i for i in range(g.edge_count) if edge_type is None or g.edge_types[i] == edge_type
-    ]
-    if not eligible:
-        raise ValueError("edge type filter matches no edges")
+    types = np.asarray(g.edge_types, dtype=np.int64)
+    eligible = np.arange(g.edge_count)
+    if edge_type is not None:
+        eligible = np.flatnonzero(types == edge_type)
+    if not len(eligible):
+        raise ValueError(
+            "graph has no edges to hold out" if edge_type is None
+            else "edge type filter matches no edges"
+        )
     k = math.ceil(fraction * len(eligible))
-    removed = sorted(rng.sample(eligible, k))
-    removed_set = set(removed)
-    positives = [g.edges[i] for i in removed]
-    keep_edges = [g.edges[i] for i in range(g.edge_count) if i not in removed_set]
-    keep_types = [g.edge_types[i] for i in range(g.edge_count) if i not in removed_set]
+    # As in _sample_nonedges, sampling positions draws what sampling the list would.
+    removed = np.sort(eligible[rng.sample(range(len(eligible)), k)])
+    keep = np.ones(g.edge_count, dtype=bool)
+    keep[removed] = False
     train = HeteroGraph(
         g.node_names,
         g.node_types,
-        keep_edges,
-        keep_types,
+        g.edge_array[keep].tolist(),
+        types[keep].tolist(),
         g.node_type_names,
         g.edge_type_names,
     )
-    patterns = _type_patterns(g, eligible)
-    negatives = _sample_nonedges(g, patterns, len(positives), rng, exclude=set())
+    positives = list(zip(*g.edge_array[removed].T.tolist()))
+    patterns = _type_patterns(g, g.edge_array[eligible])
+    negatives = _sample_nonedges(g, patterns, k, rng, exclude=set())
     return EdgeDataset(train, positives, negatives, seed, edge_type)
 
 
@@ -222,10 +220,6 @@ def _loss_and_probs(
     eps = 1e-12
     data = -(np.add.reduce(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)) / len(y))
     return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1])), p
-
-
-def _logistic_loss(Xb: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float) -> float:
-    return _loss_and_probs(Xb, y, w, l2)[0]
 
 
 def train_linear_classifier(
@@ -359,25 +353,17 @@ def link_prediction_eval(
     ds = split_edges(g, fraction, seed, edge_type)
     Z = spectral_embedding(ds.train, sig, dim, drop_trivial=drop_trivial)
 
-    train_idx = [
-        i
-        for i in range(ds.train.edge_count)
-        if edge_type is None or ds.train.edge_types[i] == edge_type
-    ]
-    train_pos = [ds.train.edges[i] for i in train_idx]
-    patterns = _type_patterns(ds.train, train_idx)
+    pos = ds.train.edge_array
+    if edge_type is not None:
+        pos = pos[np.asarray(ds.train.edge_types) == edge_type]
     rng = random.Random(seed + 10_000_019)
-    train_neg = _sample_nonedges(
-        g, patterns, len(train_pos), rng, exclude=set(ds.negatives)
+    neg = _sample_nonedges(
+        g, _type_patterns(ds.train, pos), len(pos), rng, exclude=set(ds.negatives)
     )
-
-    train_pairs = train_pos + train_neg
-    y_train = np.array([1] * len(train_pos) + [0] * len(train_neg), dtype=np.int64)
-    test_pairs = ds.positives + ds.negatives
-    y_test = np.array([1] * len(ds.positives) + [0] * len(ds.negatives), dtype=np.int64)
-
-    train_ends = np.array(train_pairs, dtype=np.int64).reshape(-1, 2)
-    test_ends = np.array(test_pairs, dtype=np.int64).reshape(-1, 2)
+    train_ends = np.vstack([pos, np.array(neg, dtype=np.int64).reshape(-1, 2)])
+    y_train = np.repeat([1, 0], [len(pos), len(neg)])
+    test_ends = np.array(ds.positives + ds.negatives, dtype=np.int64)
+    y_test = np.repeat([1, 0], [len(ds.positives), len(ds.negatives)])
     reports: dict[str, MetricsReport] = {}
     for op in operators:
         # The operators act element by element, so one call over all rows
@@ -398,8 +384,8 @@ def link_prediction_eval(
         best_operator=best,
         seed=seed,
         dim=dim,
-        n_train_examples=len(train_pairs),
-        n_test_examples=len(test_pairs),
+        n_train_examples=len(train_ends),
+        n_test_examples=len(test_ends),
     )
 
 

@@ -331,8 +331,13 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
 
 
 def read_typed_edge_list(path) -> HeteroGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_typed_edge_list(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeListFormatError(f"input is not UTF-8: byte offset {exc.start}") from None
+    return load_typed_edge_list(text)
 
 
 def connected_components(g: WeightedGraph) -> tuple[np.ndarray, int]:

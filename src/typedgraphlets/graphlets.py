@@ -436,12 +436,13 @@ def census(
     if skels is None:
         names = THREE_FOUR_NODE
     else:
-        names = [resolve_skeleton(s).name for s in skels]
+        # A skeleton listed twice, or also by an alias, is counted once.
+        names = dict.fromkeys(resolve_skeleton(s).name for s in skels)
     counts: dict[TypedGraphletSignature, int] = {}
     for name in names:
         ids, sigs = _signature_column(g, SKELETONS[name], typing_mode)
         for sig, count in zip(sigs, np.bincount(ids, minlength=len(sigs)).tolist()):
-            counts[sig] = counts.get(sig, 0) + count
+            counts[sig] = count
     order = {name: i for i, name in enumerate(SKELETON_ORDER)}
     return dict(
         sorted(

@@ -80,6 +80,29 @@ def test_missing_file_exit_code(tmp_path):
     assert code == 3
 
 
+def test_non_utf8_input_exits_as_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"a b U U\n\xff\n")
+    code, _ = run_cli(tmp_path, "census", "--input", str(path))
+    assert code == 3
+    assert "error: input is not UTF-8: byte offset 8" in capsys.readouterr().err
+
+
+def test_unwritable_output_dir_exits_as_an_error(tmp_path, capsys):
+    path = write_input(tmp_path, WEDGE_FILE)
+    code = main(["census", "--input", path, "--output-dir", os.path.join(path, "sub")])
+    assert code == 1
+    assert "error: " in capsys.readouterr().err
+
+
+def test_linkpred_on_a_graph_without_edges(tmp_path, capsys):
+    path = write_input(tmp_path, "%node a U\n%node b U\n")
+    code, out = run_cli(tmp_path, "linkpred", "--input", path, "--motif", "edge")
+    assert code == 1
+    assert "error: graph has no edges to hold out" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_absent_graphlet_exit_code(tmp_path):
     path = write_input(tmp_path, WEDGE_FILE)
     code, _ = run_cli(tmp_path, "cluster", "--input", path, "--motif", "4-clique")

@@ -25,7 +25,7 @@ from typedgraphlets import (
 from typedgraphlets import evaluation
 from typedgraphlets.evaluation import (
     _average_ranks,
-    _logistic_loss,
+    _loss_and_probs,
     _sample_nonedges,
     _sigmoid,
 )
@@ -105,6 +105,8 @@ def test_split_bad_inputs():
     typed = make_graph(3, [(0, 1)], edge_types=[0], edge_type_names=("r",))
     with pytest.raises(ValueError, match="matches no edges"):
         split_edges(typed, 0.5, seed=0, edge_type=5)
+    with pytest.raises(ValueError, match="graph has no edges to hold out"):
+        split_edges(make_graph(3, []), 0.5, seed=0)
 
 
 def test_split_not_enough_negatives():
@@ -170,7 +172,7 @@ def test_classifier_loss_monotone():
     losses = []
     for iters in (0, 5, 20, 100, 400):
         w = train_linear_classifier(X, y, l2=1e-3, iters=iters, seed=3)
-        losses.append(_logistic_loss(np.hstack([X, np.ones((60, 1))]), y, w, 1e-3))
+        losses.append(_loss_and_probs(np.hstack([X, np.ones((60, 1))]), y, w, 1e-3)[0])
     assert all(a >= b - 1e-15 for a, b in zip(losses, losses[1:]))
 
 
@@ -193,7 +195,8 @@ def test_classifier_gradient_small_and_matches_finite_differences():
     for i in range(len(w)):
         e = np.zeros_like(w)
         e[i] = h
-        fd[i] = (_logistic_loss(Xb, y, w + e, l2) - _logistic_loss(Xb, y, w - e, l2)) / (2 * h)
+        fd[i] = (_loss_and_probs(Xb, y, w + e, l2)[0]
+                 - _loss_and_probs(Xb, y, w - e, l2)[0]) / (2 * h)
     assert np.allclose(grad, fd, atol=1e-5)
     assert np.linalg.norm(grad) <= 1e-4
 

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -321,3 +322,26 @@ def test_hetero_graph_rejects_duplicates_and_loops():
         make_graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         make_graph(3, [(1, 1)])
+
+
+HETERO_GRAPH_ARGS = dict(
+    node_names=["a", "b", "c"], node_types=[0, 1, 0], edges=[(0, 1), (1, 2)],
+    edge_types=[0, 0], node_type_names=["U", "M"], edge_type_names=["r"],
+)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"edges": [(0, 1), (1, 1)]}, "self-loop at node 1"),
+    ({"edges": [(-1, 0), (1, 2)]}, "edge (-1, 0) references unknown node"),
+    ({"edges": [(0, 1), (1, 3)]}, "edge (1, 3) references unknown node"),
+    ({"edges": [(0, 1), (1, 0)]}, "duplicate undirected edge (0, 1)"),
+    ({"node_types": [0, 2, 0]}, "node type id 2 out of range"),
+    ({"edge_types": [0, 1]}, "edge type id 1 out of range"),
+    ({"node_types": [0, 1]}, "node_types length does not match node_names"),
+    ({"edge_types": [0]}, "edge_types length does not match edges"),
+    ({"node_names": ["a", "b", "a"]}, "duplicate external node ids"),
+])
+def test_hetero_graph_constructor_checks(change, message):
+    HeteroGraph(**HETERO_GRAPH_ARGS)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HeteroGraph(**{**HETERO_GRAPH_ARGS, **change})

@@ -152,6 +152,16 @@ def test_census_single_type_one_signature_per_skeleton():
     assert seen  # dense single-type graph has occurrences
 
 
+@pytest.mark.parametrize("names, total", [
+    (["triangle", "triangle"], 2),
+    (["wedge", "3-path"], 4),  # 3-path is an alias for wedge
+])
+def test_census_counts_a_repeated_skeleton_once(names, total):
+    table = census(barbell(), names)
+    assert table == census(barbell(), names[:1])
+    assert sum(table.values()) == total
+
+
 def test_census_totals_equal_untyped_counts():
     g = random_graph(5, 11, 0.35, n_type_count=3, e_type_count=2)
     table = census(g)
