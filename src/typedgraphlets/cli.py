@@ -64,22 +64,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, handler, motif_required=True):
+    def command(name, summary, handler, motif=True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         p.add_argument("--input", required=True, help="typed edge-list file")
         p.add_argument("--output-dir", default=".", help="directory for artifacts")
-        p.add_argument(
-            "--motif",
-            required=motif_required,
-            help="skeleton[:typeA,typeB,...] or 'best' for the top-ranked signature",
-        )
+        if motif:
+            p.add_argument("--motif", required=True, help="skeleton[:typeA,typeB,...] "
+                           "or 'best' for the top-ranked signature")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--strict-types", action="store_true",
                        help="position-sensitive typed signatures")
         return p
 
-    p = command("census", "typed graphlet census table", _cmd_census, motif_required=False)
+    p = command("census", "typed graphlet census table", _cmd_census, motif=False)
     p.add_argument("--records", action="store_true",
                    help="also write line-delimited records (census.jsonl)")
 
@@ -100,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("order", "spectral vertex ordering", _cmd_order)
 
     command("rank-motifs", "rank typed graphlets by approximation factor", _cmd_rank_motifs,
-            motif_required=False)
+            motif=False)
 
     p = command("linkpred", "link-prediction evaluation harness", _cmd_linkpred)
     p.add_argument("--dim", type=int, default=16)

@@ -168,8 +168,8 @@ def split_edges(
     train = HeteroGraph(
         g.node_names,
         g.node_types,
-        g.edge_array[keep].tolist(),
-        types[keep].tolist(),
+        g.edge_array[keep],
+        types[keep],
         g.node_type_names,
         g.edge_type_names,
     )
@@ -356,6 +356,9 @@ def link_prediction_eval(
     pos = ds.train.edge_array
     if edge_type is not None:
         pos = pos[np.asarray(ds.train.edge_types) == edge_type]
+        if not len(pos):
+            name = g.edge_type_names[edge_type]
+            raise ValueError(f"edge type '{name}': the split left none of its edges for training")
     rng = random.Random(seed + 10_000_019)
     neg = _sample_nonedges(
         g, _type_patterns(ds.train, pos), len(pos), rng, exclude=set(ds.negatives)

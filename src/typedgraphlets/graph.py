@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,8 +23,9 @@ class HeteroGraph:
     input files are kept in ``node_names`` so output can be written back in
     the caller's vocabulary. Type labels are interned into
     ``node_type_names`` / ``edge_type_names`` and referenced by integer id.
-    Instances are immutable after construction and safe to share across
-    workers.
+    Edges are stored once, as ``edge_array``: read-only int64 rows (u, v),
+    u < v, in input order; ``sorted_edge_keys`` holds their keys ``u * n + v``,
+    ascending, with their edge types. Instances are immutable.
     """
 
     def __init__(
@@ -51,27 +51,41 @@ class HeteroGraph:
             raise ValueError("duplicate external node ids")
         if len(edges) != len(edge_types):
             raise ValueError("edge_types length does not match edges")
-        for t in self.node_types:
-            if not 0 <= t < len(self.node_type_names):
-                raise ValueError(f"node type id {t} out of range")
-        for t in edge_types:
-            if not 0 <= t < len(self.edge_type_names):
-                raise ValueError(f"edge type id {t} out of range")
-
-        norm_edges = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"self-loop at node {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references unknown node")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate undirected edge {key}")
-            seen.add(key)
-            norm_edges.append(key)
-        self.edges = tuple(norm_edges)
-        self.edge_types = tuple(edge_types)
+        etypes = np.asarray(edge_types, dtype=np.int64)
+        for kind, ids, count in (("node", np.asarray(self.node_types, dtype=np.int64),
+                                  self.node_type_count), ("edge", etypes, self.edge_type_count)):
+            bad = ids[(ids < 0) | (ids >= count)]
+            if len(bad):
+                raise ValueError(f"{kind} type id {bad[0]} out of range")
+        m = len(edges)
+        try:
+            raw = np.asarray(edges, dtype=np.int64).reshape(m, -1) if m else np.empty((0, 2), np.int64)
+        except ValueError:  # ragged rows, or ids that are not integers
+            raw = np.empty((m, 0), dtype=np.int64)
+        if raw.shape[1] != 2:  # check the rows before the first non-pair, then unpack it
+            first = next((i for i, row in enumerate(edges) if np.shape(row) != (2,)), 0)
+            HeteroGraph(self.node_names, self.node_types, edges[:first], edge_types[:first],
+                        self.node_type_names, self.edge_type_names)
+            u, v = edges[first]
+            raise ValueError("edges must be pairs of integer node ids")
+        # One sort of the keys u * n + v finds each key's first row; the rest repeat it.
+        ends = np.sort(raw, axis=1)
+        keys, firsts = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
+        repeat = np.bincount(firsts, minlength=m) == 0
+        loop = raw[:, 0] == raw[:, 1]
+        outside = ((raw < 0) | (raw >= n)).any(axis=1)
+        # The first faulty row raises, if any; a row outside 0..n-1 may share
+        # another row's key, but then it is faulty itself and comes no later.
+        for i in np.flatnonzero(loop | outside | repeat)[:1]:
+            if loop[i]:
+                raise ValueError(f"self-loop at node {raw[i, 0]}")
+            if outside[i]:
+                raise ValueError(f"edge ({raw[i, 0]}, {raw[i, 1]}) references unknown node")
+            raise ValueError(f"duplicate undirected edge {tuple(ends[i].tolist())}")
+        ends.flags.writeable = False
+        self.edge_array = ends
+        self.edge_types = tuple(etypes.tolist())
+        self.sorted_edge_keys = keys, etypes[firsts]
 
     @property
     def node_count(self) -> int:
@@ -79,7 +93,7 @@ class HeteroGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @property
     def node_type_count(self) -> int:
@@ -105,23 +119,13 @@ class HeteroGraph:
         return np.diff(self.neighbours[0])
 
     @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """``edge_array`` as (u, v) tuples of Python ints, built on first read."""
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {e: i for i, e in enumerate(self.edges)}
-
-    @cached_property
-    def edge_array(self) -> np.ndarray:
-        """Read-only int64 (edge_count, 2) array of ``edges``, u < v per row."""
-        ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        ends.flags.writeable = False
-        return ends
-
-    @cached_property
-    def sorted_edge_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge keys ``u * n + v`` (u < v), ascending, and their edge types."""
-        ends = self.edge_array
-        keys = ends[:, 0] * self.node_count + ends[:, 1]
-        order = np.argsort(keys)
-        return keys[order], np.array(self.edge_types, dtype=np.int64)[order]
 
     def pair_edge_types(self, keys: np.ndarray) -> np.ndarray:
         """Edge type of each pair key ``u * n + v`` (u < v); -1 for a non-edge."""
@@ -157,13 +161,11 @@ class HeteroGraph:
         relabel[keep] = np.arange(len(keep))
         ends = relabel[self.edge_array]
         inside = (ends >= 0).all(axis=1)
-        edges = ends[inside].tolist()
-        etypes = list(compress(self.edge_types, inside.tolist()))
         sub = HeteroGraph(
             [self.node_names[i] for i in keep],
             [self.node_types[i] for i in keep],
-            edges,
-            etypes,
+            ends[inside],
+            np.asarray(self.edge_types, dtype=np.int64)[inside],
             self.node_type_names,
             self.edge_type_names,
         )
@@ -270,17 +272,14 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
 
     def intern_node(name: str, type_label: str, lineno: int) -> int:
         tid = node_type_ids.setdefault(type_label, len(node_type_ids))
-        if name in node_ids:
-            nid = node_ids[name]
-            if node_types[nid] != tid:
-                raise EdgeListFormatError(
-                    f"line {lineno}: node '{name}' declared with conflicting types "
-                    f"'{list(node_type_ids)[node_types[nid]]}' and '{type_label}'"
-                )
-            return nid
-        nid = len(node_ids)
-        node_ids[name] = nid
-        node_types.append(tid)
+        nid = node_ids.setdefault(name, len(node_ids))
+        if nid == len(node_types):
+            node_types.append(tid)
+        elif node_types[nid] != tid:
+            raise EdgeListFormatError(
+                f"line {lineno}: node '{name}' declared with conflicting types "
+                f"'{list(node_type_ids)[node_types[nid]]}' and '{type_label}'"
+            )
         return nid
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -493,7 +492,7 @@ def permute_graph(g: HeteroGraph, order: Sequence[int]) -> HeteroGraph:
     return HeteroGraph(
         [g.node_names[old] for old in order],
         [g.node_types[old] for old in order],
-        np.argsort(order)[g.edge_array].tolist(),
+        np.argsort(order)[g.edge_array],
         g.edge_types,
         g.node_type_names,
         g.edge_type_names,

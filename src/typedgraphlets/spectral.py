@@ -185,9 +185,10 @@ class ClusterResult:
 
 def _covered_components(gH: WeightedGraph) -> list[list[int]]:
     labels, count = connected_components(gH)
-    members = np.argsort(labels, kind="stable")
-    comps = np.split(members, np.cumsum(np.bincount(labels, minlength=count))[:-1])
-    return [c.tolist() for c in comps if len(c) >= 2]
+    sizes = np.bincount(labels, minlength=count)
+    covered = np.flatnonzero(sizes[labels] >= 2)
+    members = covered[np.argsort(labels[covered], kind="stable")]
+    return [c.tolist() for c in np.split(members, np.cumsum(sizes[sizes >= 2]))[:-1]]
 
 
 def _beta_factor(lambda2: float, edge_count: int) -> float:
@@ -301,10 +302,8 @@ def spectral_ordering(g: HeteroGraph, sig: TypedGraphletSignature) -> OrderingRe
     order: list[int] = []
     for comp in comps:
         lap = build_normalized_laplacian(gH, comp)
-        pairs = smallest_eigenpairs(lap, 2)
-        v2 = pairs[1].vector
-        idx = np.argsort(v2, kind="stable")
-        order.extend(int(lap.nodes[i]) for i in idx)
+        v2 = smallest_eigenpairs(lap, 2)[1].vector
+        order.extend(lap.nodes[np.argsort(v2, kind="stable")].tolist())
     order.extend(mm.uncovered_nodes())
     return OrderingResult(order, True)
 

@@ -103,6 +103,38 @@ def test_linkpred_on_a_graph_without_edges(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_linkpred_relation_with_every_edge_held_out(tmp_path, capsys):
+    path = write_input(tmp_path, "a b U U r\nb c U U s\nc d U U s\nd a U U s\n")
+    code, out = run_cli(tmp_path, "linkpred", "--input", path, "--motif", "edge",
+                        "--edge-type", "r")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: edge type 'r': the split left none of its edges for training" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edge_type", [(), ("--edge-type", "r")])
+def test_linkpred_one_edge_graph_exits_from_the_embedding(tmp_path, capsys, edge_type):
+    # The held-out edge was the only one: the train graph has no edge motif.
+    path = write_input(tmp_path, "a b U U r\n%node c U\n%node d U\n")
+    code, _ = run_cli(tmp_path, "linkpred", "--input", path, "--motif", "edge", *edge_type)
+    assert code == 4
+
+
+@pytest.mark.parametrize("command", ["census", "rank-motifs"])
+def test_commands_that_resolve_no_motif_reject_motif(tmp_path, capsys, command):
+    path = write_input(tmp_path, WEDGE_FILE)
+    code, out = run_cli(tmp_path, command, "--input", path, "--motif", "bogus")
+    assert code == 2
+    assert "unrecognized arguments: --motif bogus" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([command, "--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--motif" not in usage and "--seed" in usage
+    code, _ = run_cli(tmp_path, command, "--input", path, "--seed", "3")
+    assert code == 0
+
+
 def test_absent_graphlet_exit_code(tmp_path):
     path = write_input(tmp_path, WEDGE_FILE)
     code, _ = run_cli(tmp_path, "cluster", "--input", path, "--motif", "4-clique")

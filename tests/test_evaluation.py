@@ -109,6 +109,15 @@ def test_split_bad_inputs():
         split_edges(make_graph(3, []), 0.5, seed=0)
 
 
+def test_link_prediction_rejects_a_relation_with_every_edge_held_out():
+    # ceil(0.5 * 1) = 1: the split holds out the only 'r' edge of a 4-cycle
+    g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+                   edge_types=[0, 1, 1, 1], edge_type_names=("r", "s"))
+    with pytest.raises(ValueError, match="^edge type 'r': the split left none of its "
+                                         "edges for training$"):
+        link_prediction_eval(g, TypedGraphletSignature(SKELETONS["edge"]), dim=2, edge_type=0)
+
+
 def test_split_not_enough_negatives():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
     with pytest.raises(ValueError, match="non-edges"):

@@ -1,9 +1,15 @@
-"""Property tests: the enumerator against its oracle, relabelling invariance,
-and the occurrences of an induced subgraph.
+"""Property tests: the graph constructor and parser, the enumerator against
+its oracles, relabelling invariance, and the occurrences of an induced
+subgraph.
 
-Examples are derandomised so every run checks the same graphs.
+Examples are derandomised so every run checks the same graphs. The
+networkx oracles are skipped when networkx is not installed; the package
+never depends on it.
 """
 
+import re
+
+import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -16,10 +22,21 @@ from typedgraphlets import (
     brute_force_all_instances,
     build_motif_matrix,
     census,
+    connected_components,
     enumerate_all_instances,
+    enumerate_instances,
+    load_typed_edge_list,
     permute_graph,
     signature_of,
 )
+from typedgraphlets.spectral import _covered_components
+
+try:
+    import networkx as nx
+except ImportError:  # pragma: no cover
+    nx = None
+
+needs_networkx = pytest.mark.skipif(nx is None, reason="networkx is not installed")
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
 
@@ -84,3 +101,202 @@ def test_subgraph_occurrences_are_the_parent_rows_inside_it(case):
         for mode in ("multiset", "set", "strict"):
             for row, old in zip(rows, mapped):
                 assert signature_of(sub, row, skel, mode) == signature_of(g, old, skel, mode)
+
+
+# ------------------------------------------------------------ graph constructor
+
+def per_edge_constructor(node_names, node_types, edges, edge_types,
+                         node_type_names, edge_type_names):
+    """The constructor's checks one element at a time: the oracle.
+
+    Returns the normalised edges and the edge types, or raises the
+    ValueError the constructor must raise.
+    """
+    n = len(node_names)
+    if len(node_types) != n:
+        raise ValueError("node_types length does not match node_names")
+    if len(set(node_names)) != n:
+        raise ValueError("duplicate external node ids")
+    if len(edges) != len(edge_types):
+        raise ValueError("edge_types length does not match edges")
+    for t in node_types:
+        if not 0 <= t < len(node_type_names):
+            raise ValueError(f"node type id {t} out of range")
+    for t in edge_types:
+        if not 0 <= t < len(edge_type_names):
+            raise ValueError(f"edge type id {t} out of range")
+    norm_edges = []
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"self-loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) references unknown node")
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            raise ValueError(f"duplicate undirected edge {key}")
+        seen.add(key)
+        norm_edges.append(key)
+    return tuple(norm_edges), tuple(edge_types)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Constructor arguments: a simple typed graph, often with faults added.
+
+    Each fault is added with probability 1/4: a self-loop, an id outside
+    0..n-1, a repeated edge in either orientation, a bad node type id and a
+    bad edge type id.
+    """
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [(v, u) if draw(st.booleans()) else (u, v)
+             for u, v in draw(st.lists(st.sampled_from(pairs), unique=True) if pairs
+                              else st.just([]))]
+    node = st.integers(0, max(n - 1, 0))
+
+    def fault():
+        return draw(st.integers(0, 3)) == 0
+
+    def insert(row):
+        edges.insert(draw(st.integers(0, len(edges))), row)
+
+    if fault():
+        w = draw(node)
+        insert((w, w))
+    if fault():
+        bad = draw(st.sampled_from([-2, -1, n, n + 1]))
+        w = draw(node)
+        insert((bad, w) if draw(st.booleans()) else (w, bad))
+    if edges and fault():
+        u, v = draw(st.sampled_from(edges))
+        insert((v, u) if draw(st.booleans()) else (u, v))
+    node_types = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    edge_types = draw(st.lists(st.integers(0, 1), min_size=len(edges), max_size=len(edges)))
+    for ids, bad in ((node_types, [-1, 3]), (edge_types, [-1, 2])):
+        if ids and fault():
+            ids[draw(st.integers(0, len(ids) - 1))] = draw(st.sampled_from(bad))
+    return dict(node_names=[f"n{i}" for i in range(n)], node_types=node_types, edges=edges,
+                edge_types=edge_types, node_type_names=("A", "B", "C"),
+                edge_type_names=("r", "s"))
+
+
+def assert_same_arrays(got, expected):
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert np.array_equal(got, expected)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(constructor_inputs(), st.booleans())
+def test_constructor_equals_per_edge_oracle(args, as_arrays):
+    try:
+        edges, edge_types = per_edge_constructor(**args)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        message = None
+    if as_arrays:
+        # subgraph, permute_graph and split_edges pass index-selected arrays.
+        args = {**args, "edges": np.array(args["edges"], dtype=np.int64).reshape(-1, 2),
+                "edge_types": np.array(args["edge_types"], dtype=np.int64)}
+    if message is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HeteroGraph(**args)
+        return
+    g = HeteroGraph(**args)
+    assert g.edges == edges and g.edge_types == edge_types
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    assert all(type(t) is int for t in g.edge_types)
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    assert_same_arrays(g.edge_array, ends)
+    assert not g.edge_array.flags.writeable
+    keys = ends[:, 0] * g.node_count + ends[:, 1]
+    order = np.argsort(keys)
+    assert_same_arrays(g.sorted_edge_keys[0], keys[order])
+    assert_same_arrays(g.sorted_edge_keys[1], np.array(edge_types, dtype=np.int64)[order])
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1, 2)], "too many values to unpack (expected 2)"),
+    ([(0, 1), (2,)], "not enough values to unpack (expected 2, got 1)"),
+    ([(1, 1), (0, 1, 2)], "self-loop at node 1"),
+    ([(0, 1), (0, 1, 2), (0, 0)], "too many values to unpack (expected 2)"),
+    ([(0, 1), (1, 0), (2,)], "duplicate undirected edge (0, 1)"),
+])
+def test_constructor_reports_rows_that_are_not_pairs_in_input_order(edges, message):
+    args = dict(node_names=["a", "b", "c"], node_types=[0, 0, 0], edges=edges,
+                edge_types=[0] * len(edges), node_type_names=["U"], edge_type_names=["r"])
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        per_edge_constructor(**args)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        HeteroGraph(**args)
+
+
+# ----------------------------------------------------------------- edge-list parser
+
+def write_typed_edge_list(g, flips=(), repeats=()):
+    """A typed edge-list document for ``g``: every node declared first.
+
+    ``flips[i]`` writes edge i as (v, u); ``repeats[i]`` adds its reverse
+    on the next line, which the parser collapses.
+    """
+    name, label = g.node_names, [g.node_type_names[t] for t in g.node_types]
+    lines = [f"%node {name[v]} {label[v]}" for v in range(g.node_count)]
+    for i, ((u, v), t) in enumerate(zip(g.edges, g.edge_types)):
+        if i < len(flips) and flips[i]:
+            u, v = v, u
+        rows = [(u, v), (v, u)] if i < len(repeats) and repeats[i] else [(u, v)]
+        for a, b in rows:
+            lines.append(f"{name[a]} {name[b]} {label[a]} {label[b]} {g.edge_type_names[t]}")
+    return "".join(line + "\n" for line in lines)
+
+
+@PROPERTY_SETTINGS
+@given(typed_graphs(), st.lists(st.booleans()), st.lists(st.booleans()))
+def test_parse_round_trip(g, flips, repeats):
+    text = write_typed_edge_list(g, flips, repeats)
+    h = load_typed_edge_list(text)
+    assert h.node_names == g.node_names
+    assert h.edges == g.edges
+    assert ([h.node_type_names[t] for t in h.node_types]
+            == [g.node_type_names[t] for t in g.node_types])
+    assert ([h.edge_type_names[t] for t in h.edge_types]
+            == [g.edge_type_names[t] for t in g.edge_types])
+    assert h.collapsed_duplicates == sum(repeats[:g.edge_count])
+    assert write_typed_edge_list(h) == write_typed_edge_list(g)
+    assert_same_arrays(h.edge_array, g.edge_array)
+    assert_same_arrays(h.sorted_edge_keys[0], g.sorted_edge_keys[0])
+
+
+# ------------------------------------------------------------ networkx oracles
+
+def networkx_graph(n, pairs):
+    graph = nx.Graph()
+    graph.add_nodes_from(range(n))
+    graph.add_edges_from(map(tuple, pairs))
+    return graph
+
+
+@needs_networkx
+@PROPERTY_SETTINGS
+@given(typed_graphs())
+def test_triangles_equal_networkx_three_cliques(g):
+    cliques = nx.enumerate_all_cliques(networkx_graph(g.node_count, g.edge_array.tolist()))
+    expected = sorted(tuple(sorted(c)) for c in cliques if len(c) == 3)
+    assert enumerate_instances(g, "triangle") == expected
+
+
+@needs_networkx
+@PROPERTY_SETTINGS
+@given(typed_graphs())
+def test_motif_graph_components_equal_networkx(g):
+    sigs = [TypedGraphletSignature(s) for s in SKELETONS.values()] + list(census(g))
+    for sig in sigs:
+        gH = build_motif_matrix(g, sig).motif_graph
+        labels, count = connected_components(gH)
+        comps = sorted((sorted(c) for c in nx.connected_components(
+            networkx_graph(g.node_count, gH.pairs.tolist()))), key=lambda c: c[0])
+        assert count == len(comps)
+        # Labels number the components by their smallest node id.
+        assert [labels[c].tolist() for c in comps] == [[i] * len(c) for i, c in enumerate(comps)]
+        assert _covered_components(gH) == [c for c in comps if len(c) >= 2]
