@@ -209,9 +209,8 @@ def _cmd_partition(g: HeteroGraph, args: argparse.Namespace) -> int:
 def _cmd_embed(g: HeteroGraph, args: argparse.Namespace) -> int:
     sig = _resolve_motif(g, args)
     Z = spectral_embedding(g, sig, args.dim, drop_trivial=args.drop_trivial)
-    lines = [f"{Z.shape[0]} {Z.shape[1]}"]
-    for row in Z:
-        lines.append(" ".join(format(x, ".17g") for x in row))
+    fmt = " ".join(["%.17g"] * Z.shape[1])
+    lines = [f"{Z.shape[0]} {Z.shape[1]}", *(fmt % tuple(row) for row in Z.tolist())]
     _write(args, "embedding.txt", "\n".join(lines) + "\n")
     print(f"embedding: {Z.shape[0]} x {Z.shape[1]}")
     return EXIT_OK

@@ -77,12 +77,6 @@ def _valid_pairs(pairs: Iterable[tuple[int, int]], n: int) -> np.ndarray:
     return arr[(0 <= arr[:, 0]) & (arr[:, 0] < arr[:, 1]) & (arr[:, 1] < n)]
 
 
-def _triu_positions(pairs: np.ndarray, n: int) -> np.ndarray:
-    """Index of each pair (u, v), u < v, in ``np.triu_indices(n, 1)`` order."""
-    u, v = pairs[:, 0], pairs[:, 1]
-    return u * (2 * n - u - 1) // 2 + (v - u - 1)
-
-
 def _sample_nonedges(
     g: HeteroGraph,
     patterns: set[tuple[int, int]],
@@ -100,11 +94,11 @@ def _sample_nonedges(
     n = g.node_count
     table = _pattern_table(patterns, g.node_type_count)
     if n * (n - 1) // 2 <= _ENUMERATE_PAIR_LIMIT:
-        us, vs = np.triu_indices(n, 1)
         types = np.asarray(g.node_types, dtype=np.int64)
-        ok = table[types[us], types[vs]]
-        ok[_triu_positions(g.edge_array, n)] = False
-        ok[_triu_positions(_valid_pairs(exclude, n), n)] = False
+        ok = np.triu(table[types[:, None], types], 1)
+        for u, v in (g.edge_array.T, _valid_pairs(exclude, n).T):
+            ok[u, v] = False
+        # Keys u * n + v of the upper triangle, in lexicographic pair order.
         cands = np.flatnonzero(ok)
         if len(cands) < count:
             raise ValueError(
@@ -112,8 +106,8 @@ def _sample_nonedges(
             )
         # Random.sample draws from the population's length alone, so sampling
         # positions gives the same pairs as sampling the candidate list.
-        chosen = cands[rng.sample(range(len(cands)), count)]
-        return list(zip(us[chosen].tolist(), vs[chosen].tolist()))
+        us, vs = np.divmod(cands[rng.sample(range(len(cands)), count)], n)
+        return list(zip(us.tolist(), vs.tolist()))
     edge_set = set(g.edges)
     picked: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()

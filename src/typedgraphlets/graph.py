@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -321,7 +322,7 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
     return HeteroGraph(
         list(node_ids),
         node_types,
-        list(edge_map),
+        np.fromiter(chain.from_iterable(edge_map), np.int64, 2 * len(edge_map)).reshape(-1, 2),
         list(edge_map.values()),
         list(node_type_ids),
         list(edge_type_ids),

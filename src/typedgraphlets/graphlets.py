@@ -16,7 +16,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -320,9 +320,10 @@ def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
         if skel.node_count == 4:
             found = _four_node_rows(g)
         else:
-            found = {skel.name: enumerate_instances(g, skel)}
-        for name, nodes in found.items():
-            rows = np.array(nodes, dtype=np.int32).reshape(-1, SKELETONS[name].node_count)
+            nodes, k = enumerate_instances(g, skel), skel.node_count
+            found = {skel.name: np.fromiter(chain.from_iterable(nodes), np.int32,
+                                            k * len(nodes)).reshape(-1, k)}
+        for name, rows in found.items():
             rows.flags.writeable = False
             tables[name] = rows
     return tables[skel.name]

@@ -1,9 +1,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from typedgraphlets import parse_signature_spec, read_typed_edge_list, spectral_embedding
+from typedgraphlets import cli, parse_signature_spec, read_typed_edge_list, spectral_embedding
 from typedgraphlets.cli import main
 
 BARBELL_FILE = """# two typed triangles joined by a bridge
@@ -210,19 +211,37 @@ def test_order_and_embed_artifacts(tmp_path):
     assert len(lines) == 7
 
 
+def format_embedding(Z):
+    """The embedding artifact rendered value by value with ``format``."""
+    rows = [" ".join(format(x, ".17g") for x in row) for row in Z]
+    return "\n".join([f"{Z.shape[0]} {Z.shape[1]}", *rows]) + "\n"
+
+
 def test_embed_drop_trivial_artifact(tmp_path):
     path = write_input(tmp_path, BARBELL_FILE)
     args = ["embed", "--input", path, "--motif", "triangle", "--dim", "2"]
-    code, out = run_cli(tmp_path, *args, "--drop-trivial")
-    assert code == 0
-    dropped = (out / "embedding.txt").read_text()
     g = read_typed_edge_list(path)
-    Z = spectral_embedding(g, parse_signature_spec(g, "triangle"), 2, drop_trivial=True)
-    assert dropped.splitlines() == ["6 2"] + [" ".join(format(x, ".17g") for x in row)
-                                              for row in Z]
-    code, out = run_cli(tmp_path, *args)
+    written = []
+    for drop in (True, False):
+        code, out = run_cli(tmp_path, *args, *(["--drop-trivial"] if drop else []))
+        assert code == 0
+        written.append((out / "embedding.txt").read_text())
+        Z = spectral_embedding(g, parse_signature_spec(g, "triangle"), 2, drop_trivial=drop)
+        assert written[-1] == format_embedding(Z)
+    assert written[0] != written[1]
+
+
+def test_embed_writer_renders_signed_zero_inf_nan_and_subnormals(tmp_path, monkeypatch):
+    Z = np.array([[-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 0.1],
+                  [np.inf, -np.inf, np.nan, 1e300, -1 / 3],
+                  [1.0, -1.0, 123456789.0, 1e-5, 2.0 ** 60]])
+    monkeypatch.setattr(cli, "spectral_embedding", lambda *args, **kwargs: Z)
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "embed", "--input", path, "--motif", "edge")
     assert code == 0
-    assert (out / "embedding.txt").read_text() != dropped
+    written = (out / "embedding.txt").read_text()
+    assert written == format_embedding(Z)
+    assert written.splitlines()[1].startswith("-0 0 4.9406564584124654e-324 ")
 
 
 def test_partition_artifact(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -414,6 +415,51 @@ def test_sample_nonedges_rejection_branch_matches_loop(monkeypatch):
             assert got == loop_rejected_nonedges(g, patterns, 25, random.Random(seed), exclude)
     with pytest.raises(ValueError, match="within sampling budget"):
         _sample_nonedges(g, {(0, 1)}, 10_000, random.Random(0), set())
+
+
+@pytest.mark.parametrize("below, oracle", [(0, loop_enumerated_nonedges),
+                                           (1, loop_rejected_nonedges)])
+def test_sample_nonedges_switches_branch_at_the_pair_limit(monkeypatch, below, oracle):
+    g = random_graph(760, 30, 0.15, n_type_count=2)
+    patterns, exclude = {(0, 1), (1, 1)}, nonedge_excludes(g, 1)
+    samples = {tuple(loop(g, patterns, 40, random.Random(5), exclude)): loop
+               for loop in (loop_enumerated_nonedges, loop_rejected_nonedges)}
+    assert len(samples) == 2  # the two branches draw different pairs
+    monkeypatch.setattr(evaluation, "_ENUMERATE_PAIR_LIMIT", 30 * 29 // 2 - below)
+    got = _sample_nonedges(g, patterns, 40, random.Random(5), exclude)
+    assert samples.get(tuple(got)) is oracle
+
+
+@pytest.mark.parametrize("n, edges", [
+    (0, []), (1, []), (2, []), (2, [(0, 1)]),
+    (5, [(u, v) for u, v in combinations(range(5), 2)]),
+])
+def test_sample_nonedges_tiny_and_complete_graphs_match_the_loop(n, edges):
+    g = make_graph(n, edges)
+    found = len(loop_nonedge_candidates(g, {(0, 0)}, set()))
+    assert _sample_nonedges(g, {(0, 0)}, 0, random.Random(0), set()) == []
+    for count in range(1, found + 1):
+        got = _sample_nonedges(g, {(0, 0)}, count, random.Random(count), set())
+        assert got == loop_enumerated_nonedges(g, {(0, 0)}, count, random.Random(count), set())
+    with pytest.raises(ValueError) as fast:
+        _sample_nonedges(g, {(0, 0)}, found + 1, random.Random(0), set())
+    with pytest.raises(ValueError) as slow:
+        loop_enumerated_nonedges(g, {(0, 0)}, found + 1, random.Random(0), set())
+    assert str(fast.value) == str(slow.value)
+
+
+def test_sample_nonedges_enumeration_peak_memory_is_a_few_bytes_per_node_pair():
+    n = 400
+    g = random_graph(770, n, 0.02, n_type_count=2)
+    patterns, exclude = {(0, 0), (0, 1), (1, 1)}, nonedge_excludes(g, 0)
+    tracemalloc.start()
+    try:
+        picked = _sample_nonedges(g, patterns, 100, random.Random(0), exclude)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(picked) == 100
+    assert peak < 8 * n * n, peak / (n * n)
 
 
 def loop_average_ranks(values):

@@ -77,6 +77,27 @@ def test_load_default_edge_type():
     assert g.edge_type_count == 1
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("%node z U\n%node y M\n",
+     HeteroGraph(["z", "y"], [0, 1], [], [], ["U", "M"], [])),
+    ("%node z U\na b U M e\nc b U M f\nb a M U e\na b U M e\nc a U U e\n%node d M\nd z M U f\n",
+     HeteroGraph(["z", "a", "b", "c", "d"], [0, 0, 1, 0, 1], [(1, 2), (2, 3), (1, 3), (0, 4)],
+                 [0, 1, 0, 1], ["U", "M"], ["e", "f"], collapsed_duplicates=2)),
+])
+def test_load_equals_the_constructor_fed_tuples(text, expected):
+    g = load_typed_edge_list(text)
+    assert g.edge_array.dtype == expected.edge_array.dtype == np.int64
+    assert np.array_equal(g.edge_array, expected.edge_array)
+    assert not g.edge_array.flags.writeable and not expected.edge_array.flags.writeable
+    for got, want in zip(g.sorted_edge_keys, expected.sorted_edge_keys):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert g.edges == expected.edges
+    assert all(type(x) is int for edge in g.edges for x in edge)
+    for name in ("node_names", "node_types", "edge_types", "node_type_names",
+                 "edge_type_names", "collapsed_duplicates"):
+        assert getattr(g, name) == getattr(expected, name), name
+
+
 def test_degree_sum_is_twice_edge_count():
     for seed in range(5):
         g = random_graph(seed, 12, 0.3, n_type_count=2)

@@ -1,5 +1,6 @@
 import weakref
 
+import numpy as np
 import pytest
 
 from typedgraphlets import (
@@ -114,6 +115,22 @@ def test_corner_cases_match_oracle_exactly():
     assert enumerate_all_instances(cases["two triangles and isolated nodes"])["triangle"] == [
         (1, 2, 4), (5, 6, 8)
     ]
+
+
+@pytest.mark.parametrize("edges, n", [
+    ([], 5),
+    ([(u, v) for u in range(5) for v in range(u + 1, 5)], 5),
+    ([(0, leaf) for leaf in range(1, 8)], 8),
+    ([(1, 2), (1, 4), (2, 4), (5, 6), (5, 8), (6, 8), (2, 5), (4, 9)], 10),
+])
+def test_occurrence_tables_are_read_only_int32_rows_in_oracle_order(edges, n):
+    for first in SKELETONS:  # each skeleton requested first on a fresh graph
+        g = make_graph(n, edges)
+        for name in (first, *SKELETONS):
+            rows = _occurrence_rows(g, SKELETONS[name])
+            assert rows.dtype == np.int32 and not rows.flags.writeable
+            assert rows.shape == (len(rows), SKELETONS[name].node_count)
+            assert [tuple(row) for row in rows.tolist()] == brute_force_instances(g, name)
 
 
 def test_instance_edges_are_graph_edges():
