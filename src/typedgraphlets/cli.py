@@ -13,6 +13,7 @@ import json
 import os
 import random
 import sys
+from typing import Iterable
 
 from .errors import (
     DegenerateCutError,
@@ -133,7 +134,10 @@ def _resolve_motif(g: HeteroGraph, args: argparse.Namespace):
     return parse_signature_spec(g, args.motif, _typing_mode(args))
 
 
-def _write(args: argparse.Namespace, filename: str, text: str) -> None:
+def _write(args: argparse.Namespace, filename: str, lines: Iterable[str]) -> None:
+    """Write ``lines`` to ``filename``, each ended by one newline."""
+    # The trailing "" ends the last line without a copy of each line; [] gives "".
+    text = "\n".join([*lines, ""])
     os.makedirs(args.output_dir, exist_ok=True)
     with open(os.path.join(args.output_dir, filename), "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -153,18 +157,13 @@ def _resolve_edge_type(g: HeteroGraph, label: str | None) -> int | None:
 
 def _cmd_census(g: HeteroGraph, args: argparse.Namespace) -> int:
     table = census(g, typing_mode=_typing_mode(args))
-    lines = []
-    records = []
-    for sig, count in table.items():
-        rendered = format_signature(sig, g)
-        lines.append(f"{sig.skeleton.name} {rendered} {count}")
-        records.append(
-            {"skeleton": sig.skeleton.name, "signature": rendered, "count": count}
-        )
-    _write(args, "census.txt", "\n".join(lines) + ("\n" if lines else ""))
+    records = [
+        {"skeleton": sig.skeleton.name, "signature": format_signature(sig, g), "count": count}
+        for sig, count in table.items()
+    ]
+    _write(args, "census.txt", (f"{r['skeleton']} {r['signature']} {r['count']}" for r in records))
     if args.records:
-        payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-        _write(args, "census.jsonl", payload)
+        _write(args, "census.jsonl", (json.dumps(r, sort_keys=True) for r in records))
     print(f"census: {len(table)} signatures over {sum(table.values())} occurrences")
     return EXIT_OK
 
@@ -178,16 +177,16 @@ def _cmd_cluster(g: HeteroGraph, args: argparse.Namespace) -> int:
             print("oracle check failed: enumeration mismatch", file=sys.stderr)
             return EXIT_ERROR
     res = cluster(g, sig)
-    _write(args, "cluster.txt", "\n".join(_names(g, res.nodes)) + "\n")
-    _write(args, "uncovered.txt", "".join(f"{name}\n" for name in _names(g, res.uncovered)))
+    _write(args, "cluster.txt", _names(g, res.nodes))
+    _write(args, "uncovered.txt", _names(g, res.uncovered))
     if args.dump_matrix:
-        _write(args, "motif_matrix.txt", build_motif_matrix(g, sig).dump())
+        _write(args, "motif_matrix.txt", build_motif_matrix(g, sig).dump().splitlines())
     summary = (
         f"component={res.component} k={res.sweep_k} "
         f"phi_weighted={_fmt(res.phi_weighted)} alpha_typed={_fmt(res.alpha)} "
         f"lambda2={_fmt(res.lambda2)} beta={_fmt(res.beta)}"
     )
-    _write(args, "summary.txt", summary + "\n")
+    _write(args, "summary.txt", [summary])
     print(f"motif={format_signature(sig, g)}")
     print(summary)
     return EXIT_OK
@@ -200,7 +199,7 @@ def _cmd_partition(g: HeteroGraph, args: argparse.Namespace) -> int:
     for i, part in enumerate(res.parts):
         lines.append(f"# part {i} size {len(part)}")
         lines.extend(_names(g, part))
-    _write(args, "partition.txt", "\n".join(lines) + ("\n" if lines else ""))
+    _write(args, "partition.txt", lines)
     note = " (early stop)" if res.early_stop else ""
     print(f"partition: {len(res.parts)} of {args.parts} parts{note}")
     return EXIT_OK
@@ -211,7 +210,7 @@ def _cmd_embed(g: HeteroGraph, args: argparse.Namespace) -> int:
     Z = spectral_embedding(g, sig, args.dim, drop_trivial=args.drop_trivial)
     fmt = " ".join(["%.17g"] * Z.shape[1])
     lines = [f"{Z.shape[0]} {Z.shape[1]}", *(fmt % tuple(row) for row in Z.tolist())]
-    _write(args, "embedding.txt", "\n".join(lines) + "\n")
+    _write(args, "embedding.txt", lines)
     print(f"embedding: {Z.shape[0]} x {Z.shape[1]}")
     return EXIT_OK
 
@@ -219,7 +218,7 @@ def _cmd_embed(g: HeteroGraph, args: argparse.Namespace) -> int:
 def _cmd_order(g: HeteroGraph, args: argparse.Namespace) -> int:
     sig = _resolve_motif(g, args)
     res = spectral_ordering(g, sig)
-    _write(args, "ordering.txt", "\n".join(_names(g, res.order)) + "\n")
+    _write(args, "ordering.txt", _names(g, res.order))
     if not res.graphlet_present:
         print("warning: graphlet absent, emitted original order", file=sys.stderr)
     print(f"ordering: {len(res.order)} nodes")
@@ -234,7 +233,7 @@ def _cmd_rank_motifs(g: HeteroGraph, args: argparse.Namespace) -> int:
             f"{format_signature(row.signature, g)} {_fmt(row.lambda2)} "
             f"{row.edge_count} {_fmt(row.beta)}"
         )
-    _write(args, "motif_rank.txt", "\n".join(lines) + "\n")
+    _write(args, "motif_rank.txt", lines)
     print(f"ranked {len(ranking.ranked)} signatures")
     return EXIT_OK
 
@@ -253,38 +252,34 @@ def _cmd_linkpred(g: HeteroGraph, args: argparse.Namespace) -> int:
     rendered = format_signature(sig, g)
     lines = [f"# motif={rendered} dim={args.dim} fraction={_fmt(args.fraction)} seed={args.seed} trials={args.trials}"]
     lines.append("seed operator f1 precision recall auc best")
-    records = []
-    for res in results:
-        for op, rep in res.per_operator.items():
-            auc = "nan" if rep.auc is None else _fmt(rep.auc)
-            marker = "*" if op == res.best_operator else "-"
-            lines.append(
-                f"{res.seed} {op} {_fmt(rep.f1)} {_fmt(rep.precision)} "
-                f"{_fmt(rep.recall)} {auc} {marker}"
-            )
-            records.append(
-                {
-                    "seed": res.seed,
-                    "signature": rendered,
-                    "operator": op,
-                    "f1": rep.f1,
-                    "precision": rep.precision,
-                    "recall": rep.recall,
-                    "auc": rep.auc,
-                    "best": op == res.best_operator,
-                }
-            )
+    records = [
+        {
+            "seed": res.seed,
+            "signature": rendered,
+            "operator": op,
+            "f1": rep.f1,
+            "precision": rep.precision,
+            "recall": rep.recall,
+            "auc": rep.auc,
+            "best": op == res.best_operator,
+        }
+        for res in results
+        for op, rep in res.per_operator.items()
+    ]
+    lines.extend(
+        f"{r['seed']} {r['operator']} {_fmt(r['f1'])} {_fmt(r['precision'])} "
+        f"{_fmt(r['recall'])} {'nan' if r['auc'] is None else _fmt(r['auc'])} "
+        f"{'*' if r['best'] else '-'}"
+        for r in records
+    )
     if args.trials > 1:
         lines.append("# mean/std over trials")
-        summary = summarize_trials(results)
-        for op, stats in summary.items():
+        for op, stats in summarize_trials(results).items():
             parts = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(stats.items()))
             lines.append(f"{op} {parts}")
-    _write(args, "linkpred.txt", "\n".join(lines) + "\n")
-    payload = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    _write(args, "linkpred.jsonl", payload)
-    best = results[0].best_operator
-    print(f"linkpred: motif={rendered} best_operator={best}")
+    _write(args, "linkpred.txt", lines)
+    _write(args, "linkpred.jsonl", (json.dumps(r, sort_keys=True) for r in records))
+    print(f"linkpred: motif={rendered} best_operator={results[0].best_operator}")
     return EXIT_OK
 
 
@@ -303,7 +298,7 @@ def _cmd_compress_eval(g: HeteroGraph, args: argparse.Namespace) -> int:
         f"random {rand_bytes}",
         f"tgs {tgs_bytes}",
     ]
-    _write(args, "compression.txt", "\n".join(lines) + "\n")
+    _write(args, "compression.txt", lines)
     print(f"compress-eval: native={native} random={rand_bytes} tgs={tgs_bytes}")
     return EXIT_OK
 

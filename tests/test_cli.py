@@ -1,10 +1,18 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from typedgraphlets import cli, parse_signature_spec, read_typed_edge_list, spectral_embedding
+from typedgraphlets import (
+    LinkPredResult,
+    MetricsReport,
+    cli,
+    parse_signature_spec,
+    read_typed_edge_list,
+    spectral_embedding,
+)
 from typedgraphlets.cli import main
 
 BARBELL_FILE = """# two typed triangles joined by a bridge
@@ -40,6 +48,24 @@ def test_census_typed_fixture(tmp_path, capsys):
     assert census == "wedge wedge[M,U,U] 1\n"
     records = [json.loads(line) for line in (out / "census.jsonl").read_text().splitlines()]
     assert records == [{"count": 1, "signature": "wedge[M,U,U]", "skeleton": "wedge"}]
+
+
+@pytest.mark.parametrize("strict, expected", [
+    (False, ["wedge wedge[M,U,U][r,s] 1", "wedge wedge[M,U,U][s,s] 1",
+             "4-path 4-path[M,U,U,U][r,s,s] 1"]),
+    # Strict mode keeps canonical position order in both brackets.
+    (True, ["wedge wedge[U,U,M][s,s] 1", "wedge wedge[U,M,U][r,s] 1",
+            "4-path 4-path[U,U,M,U][s,s,r] 1"]),
+])
+def test_census_two_relation_graph_renders_the_edge_type_bracket(tmp_path, capsys, strict,
+                                                                   expected):
+    path = write_input(tmp_path, "a b U M r\nb c M U s\nc d U U s\n")
+    code, out = run_cli(tmp_path, "census", "--input", path, "--records",
+                        *(["--strict-types"] if strict else []))
+    assert code == 0
+    assert (out / "census.txt").read_text() == "".join(f"{line}\n" for line in expected)
+    records = [json.loads(line) for line in (out / "census.jsonl").read_text().splitlines()]
+    assert [f"{r['skeleton']} {r['signature']} {r['count']}" for r in records] == expected
 
 
 def test_cluster_barbell_summary(tmp_path, capsys):
@@ -134,6 +160,31 @@ def test_commands_that_resolve_no_motif_reject_motif(tmp_path, capsys, command):
     assert "--motif" not in usage and "--seed" in usage
     code, _ = run_cli(tmp_path, command, "--input", path, "--seed", "3")
     assert code == 0
+
+
+def test_motif_best_without_a_typed_graphlet_exits_absent(tmp_path, capsys):
+    path = write_input(tmp_path, "a b U U\n")
+    code, out = run_cli(tmp_path, "cluster", "--input", path, "--motif", "best")
+    assert code == 4
+    assert "error: no typed graphlet occurs in this graph" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_edge_type_exits_as_a_parse_error(tmp_path, capsys):
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "linkpred", "--input", path, "--motif", "edge",
+                        "--edge-type", "x")
+    assert code == 3
+    assert "error: unknown edge type 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_repeated_edge_prints_the_collapse_note(tmp_path, capsys):
+    path = write_input(tmp_path, "a b U U\nb a U U\nb c U U\n")
+    code, out = run_cli(tmp_path, "census", "--input", path)
+    assert code == 0
+    assert capsys.readouterr().err == "note: collapsed 1 duplicate directed edges\n"
+    assert (out / "census.txt").read_text() == "wedge wedge[U,U,U] 1\n"
 
 
 def test_absent_graphlet_exit_code(tmp_path):
@@ -244,6 +295,30 @@ def test_embed_writer_renders_signed_zero_inf_nan_and_subnormals(tmp_path, monke
     assert written.splitlines()[1].startswith("-0 0 4.9406564584124654e-324 ")
 
 
+@pytest.mark.parametrize("text, count, expected", [
+    (WEDGE_FILE, 3, "a\nb\nc\n"),
+    ("# empty\n", 0, ""),
+])
+def test_order_on_an_absent_graphlet_writes_the_original_order(tmp_path, capsys, text, count,
+                                                                 expected):
+    path = write_input(tmp_path, text)
+    code, out = run_cli(tmp_path, "order", "--input", path, "--motif", "triangle")
+    assert code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "warning: graphlet absent, emitted original order\n"
+    assert captured.out == f"ordering: {count} nodes\n"
+    # A graph without nodes gives an empty file, not one blank line.
+    assert (out / "ordering.txt").read_text() == expected
+
+
+def test_partition_on_an_absent_motif_writes_an_empty_file(tmp_path, capsys):
+    path = write_input(tmp_path, WEDGE_FILE)
+    code, out = run_cli(tmp_path, "partition", "--input", path, "--motif", "triangle")
+    assert code == 0
+    assert capsys.readouterr().out == "partition: 0 of 2 parts (early stop)\n"
+    assert (out / "partition.txt").read_bytes() == b""
+
+
 def test_partition_artifact(tmp_path, capsys):
     path = write_input(tmp_path, BARBELL_FILE)
     code, out = run_cli(tmp_path, "partition", "--input", path,
@@ -285,6 +360,31 @@ def test_linkpred_artifacts(tmp_path):
     assert all(r["signature"] == "wedge" for r in records)
 
 
+def test_linkpred_rows_and_records_come_from_one_record_list(tmp_path, monkeypatch):
+    def fake_eval(g, sig, dim, *, seed, **kwargs):
+        reports = {"mean": MetricsReport(0.5, 0.25, 1.0, None, 0.5),
+                   "max": MetricsReport(1.0, 1.0, 1.0, 0.75, 0.5)}
+        return LinkPredResult(reports, "max", seed, dim, 4, 2)
+
+    monkeypatch.setattr(cli, "link_prediction_eval", fake_eval)
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "linkpred", "--input", path, "--motif", "edge",
+                        "--dim", "2", "--seed", "3")
+    assert code == 0
+    assert (out / "linkpred.txt").read_text() == (
+        "# motif=edge dim=2 fraction=0.5 seed=3 trials=1\n"
+        "seed operator f1 precision recall auc best\n"
+        "3 mean 0.5 0.25 1 nan -\n"
+        "3 max 1 1 1 0.75 *\n"
+    )
+    assert (out / "linkpred.jsonl").read_text() == (
+        '{"auc": null, "best": false, "f1": 0.5, "operator": "mean", "precision": 0.25, '
+        '"recall": 1.0, "seed": 3, "signature": "edge"}\n'
+        '{"auc": 0.75, "best": true, "f1": 1.0, "operator": "max", "precision": 1.0, '
+        '"recall": 1.0, "seed": 3, "signature": "edge"}\n'
+    )
+
+
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_linkpred_rejects_trials_below_one(tmp_path, capsys, trials):
     path = write_input(tmp_path, BARBELL_FILE)
@@ -321,6 +421,47 @@ def test_compress_eval_artifact(tmp_path):
     lines = (out / "compression.txt").read_text().splitlines()
     assert lines[0] == "ordering bytes"
     assert {l.split()[0] for l in lines[1:]} == {"native", "random", "tgs"}
+
+
+def test_write_ends_every_line_and_writes_nothing_for_no_lines(tmp_path):
+    args = argparse.Namespace(output_dir=str(tmp_path / "out"))
+    cli._write(args, "two.txt", ["a", "b c"])
+    cli._write(args, "none.txt", [])
+    assert (tmp_path / "out" / "two.txt").read_bytes() == b"a\nb c\n"
+    assert (tmp_path / "out" / "none.txt").read_bytes() == b""
+
+    def failing():
+        yield "a"
+        raise ValueError("boom")
+
+    # The text is built before the file is opened: a failure leaves no file.
+    with pytest.raises(ValueError, match="boom"):
+        cli._write(args, "failed.txt", failing())
+    assert not (tmp_path / "out" / "failed.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--records"],
+    ["cluster", "--motif", "triangle", "--dump-matrix"],
+    ["partition", "--motif", "triangle"],
+    ["embed", "--motif", "triangle", "--dim", "2"],
+    ["order", "--motif", "triangle"],
+    ["rank-motifs"],
+    ["linkpred", "--motif", "edge", "--dim", "2", "--trials", "2"],
+    ["compress-eval", "--motif", "triangle"],
+])
+def test_every_artifact_is_a_sequence_of_newline_ended_lines(tmp_path, capsys, argv):
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, *argv, "--input", path)
+    assert code == 0
+    for artifact in out.iterdir():
+        text = artifact.read_text()
+        lines = text.split("\n")
+        assert lines[-1] == "", artifact.name
+        assert "" not in lines[:-1], artifact.name
+    # Every barbell node lies on a triangle, so nothing is uncovered.
+    if argv[0] == "cluster":
+        assert (out / "uncovered.txt").read_bytes() == b""
 
 
 def test_repeated_runs_byte_identical(tmp_path, capsys):

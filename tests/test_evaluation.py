@@ -29,6 +29,7 @@ from typedgraphlets.evaluation import (
     _loss_and_probs,
     _sample_nonedges,
     _sigmoid,
+    _type_patterns,
 )
 
 from conftest import barbell, make_graph, random_graph
@@ -125,6 +126,21 @@ def test_split_not_enough_negatives():
         split_edges(g, 0.9, seed=0)
 
 
+@pytest.mark.parametrize("type_count", [1, 2, 3, 4])
+def test_type_patterns_match_a_loop_over_the_rows(type_count):
+    for seed in range(4):
+        g = random_graph(seed, 30, 0.2, n_type_count=type_count)
+        for ends in (g.edge_array, g.edge_array[::3]):
+            expected = {
+                (min(g.node_types[u], g.node_types[v]), max(g.node_types[u], g.node_types[v]))
+                for u, v in ends.tolist()
+            }
+            got = _type_patterns(g, ends)
+            assert got == expected
+            assert all(type(t) is int for pair in got for t in pair)
+    assert _type_patterns(g, g.edge_array[:0]) == set()
+
+
 # ---------------------------------------------------------------- edge operators
 
 def test_edge_operator_examples():
@@ -148,6 +164,32 @@ def test_edge_operator_errors():
     with pytest.raises(ValueError):
         edge_embed(np.zeros(3), np.zeros(4), "mean")
     with pytest.raises(ValueError):
+        edge_embed(np.zeros(3), np.zeros(3), "concat")
+
+
+def test_edge_operators_are_their_formulas_bit_for_bit():
+    formulas = {
+        "mean": lambda a, b: (a + b) / 2.0,
+        "hadamard": lambda a, b: a * b,
+        "absdiff": lambda a, b: np.abs(a - b),
+        "sqdiff": lambda a, b: (a - b) ** 2,
+        "max": lambda a, b: np.maximum(a, b),
+        "sum": lambda a, b: a + b,
+    }
+    assert EDGE_OPERATORS == tuple(formulas)
+    rng = np.random.default_rng(2)
+    zi, zj = rng.standard_normal((2, 6, 4))
+    zi[0], zj[0] = -0.0, 0.0
+    zi[1, 0], zj[1, 1] = 5e-324, -2.2250738585072009e-308
+    zi[1, 2], zi[1, 3] = np.inf, np.nan
+    for op, formula in formulas.items():
+        assert edge_embed(zi, zj, op).tobytes() == formula(zi, zj).tobytes()
+        row = edge_embed(zi[2].tolist(), zj[2].tolist(), op)
+        assert row.tobytes() == formula(zi[2], zj[2]).tobytes()
+    # The shape check comes first, then the operator name.
+    with pytest.raises(ValueError, match="^embedding dimensions differ$"):
+        edge_embed(np.zeros(3), np.zeros(4), "concat")
+    with pytest.raises(ValueError, match="^unknown edge operator 'concat'$"):
         edge_embed(np.zeros(3), np.zeros(3), "concat")
 
 
