@@ -37,7 +37,7 @@ from .graphlets import (
     format_signature,
     parse_signature_spec,
 )
-from .motifmatrix import build_motif_matrix
+from .motifmatrix import _brute_force_weights, build_motif_matrix
 from .spectral import (
     cluster,
     rank_typed_graphlets,
@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-matrix", action="store_true",
                    help="write the motif matrix as coordinate triples")
     p.add_argument("--oracle-check", action="store_true",
-                   help="cross-check fast enumeration against the subset-scan oracle")
+                   help="cross-check fast enumeration and the motif matrix against "
+                   "the subset-scan oracle")
 
     p = command("partition", "recursive bipartitioning", _cmd_partition)
     p.add_argument("--parts", type=int, default=2)
@@ -175,6 +176,9 @@ def _cmd_cluster(g: HeteroGraph, args: argparse.Namespace) -> int:
         slow = set(brute_force_instances(g, sig.skeleton))
         if fast != slow:
             print("oracle check failed: enumeration mismatch", file=sys.stderr)
+            return EXIT_ERROR
+        if build_motif_matrix(g, sig).weights != _brute_force_weights(g, sig):
+            print("oracle check failed: motif matrix mismatch", file=sys.stderr)
             return EXIT_ERROR
     res = cluster(g, sig)
     _write(args, "cluster.txt", _names(g, res.nodes))

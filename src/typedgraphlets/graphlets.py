@@ -284,9 +284,6 @@ def _tuples(g: HeteroGraph, rows: np.ndarray) -> list[tuple[int, ...]]:
     return list(zip(*np.arange(g.node_count).astype(object)[rows.T]))
 
 
-_SMALL_SHAPES = {"edge": _edges, "wedge": _wedges, "triangle": _triangles}
-
-
 def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
     """Node sets of all induced occurrences of ``skel``, lexicographic order.
 
@@ -296,7 +293,9 @@ def enumerate_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
     skel = resolve_skeleton(skel)
     if skel.node_count == 4:
         return _tuples(g, _occurrence_rows(g, skel))
-    return _tuples(g, _SMALL_SHAPES[skel.name](g))
+    # Looked up per call, so a test that patches one enumerator reaches every caller.
+    shape = {"edge": _edges, "wedge": _wedges, "triangle": _triangles}[skel.name]
+    return _tuples(g, shape(g))
 
 
 def enumerate_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:

@@ -6,13 +6,18 @@ volumes coincide exactly with the typed-graphlet volumes, while weighted
 cut weight only bounds the typed cut count (it counts how many times an
 occurrence is severed, not whether). All counts here are exact integers;
 only conductances are ratios, returned as Fractions.
+
+Two routes fill a motif matrix: the untyped wedge has a closed form over
+edge keys, degrees and triangles; every other signature counts its
+occurrence rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,17 +31,35 @@ from .graph import (
     _min_conductance_cut,
     _validate_cut,
 )
-from .graphlets import TypedGraphletSignature, instances_matching, _row_pair_keys
+from .graphlets import (
+    SKELETONS,
+    TypedGraphletSignature,
+    _induced_edges,
+    _row_pair_keys,
+    brute_force_instances,
+    instances_matching,
+    signature_of,
+)
 
 
 @dataclass
 class MotifMatrix:
-    """W as a weighted graph, and the occurrence rows it was built from."""
+    """W as a weighted graph, with the cut count and occurrence rows behind it.
+
+    ``_cut(side)`` is the number of occurrences with nodes on both sides of
+    a boolean node mask. ``instances``, the occurrence rows, is computed on
+    first read; only the oracles need it.
+    """
 
     graph: HeteroGraph
     signature: TypedGraphletSignature
     motif_graph: WeightedGraph
-    instances: np.ndarray
+    _rows: Callable[[], np.ndarray] = field(repr=False)
+    _cut: Callable[[np.ndarray], int] = field(repr=False)
+
+    @cached_property
+    def instances(self) -> np.ndarray:
+        return self._rows()
 
     @property
     def weights(self) -> dict[tuple[int, int], int]:
@@ -80,10 +103,27 @@ class NormalizedLaplacian:
 
 def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatrix:
     """W entry (i, j), i < j: matching occurrences that contain edge (i, j)."""
-    return _motif_matrix(g, sig, instances_matching(g, sig))
+    if _closed_form(sig):
+        return _wedge_matrix(g, sig, np.ones(g.node_count, dtype=bool))
+    return _row_matrix(g, sig, instances_matching(g, sig))
 
 
-def _motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature, rows: np.ndarray) -> MotifMatrix:
+def _motif_matrix(mm: MotifMatrix, inside: np.ndarray) -> MotifMatrix:
+    """W of the occurrences of ``mm`` that lie wholly inside a node mask.
+
+    They are exactly the occurrences of the subgraph the mask induces.
+    """
+    if _closed_form(mm.signature):
+        return _wedge_matrix(mm.graph, mm.signature, inside)
+    rows = mm.instances
+    return _row_matrix(mm.graph, mm.signature, rows[inside[rows].all(axis=1)])
+
+
+def _closed_form(sig: TypedGraphletSignature) -> bool:
+    return sig.is_wildcard and sig.skeleton.name == "wedge"
+
+
+def _row_matrix(g: HeteroGraph, sig: TypedGraphletSignature, rows: np.ndarray) -> MotifMatrix:
     """W of the given occurrence rows of ``sig`` in ``g``.
 
     Every node pair of an occurrence row that is a graph edge is an edge of
@@ -93,7 +133,60 @@ def _motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature, rows: np.ndarray)
     keys = _row_pair_keys(g, rows).ravel()
     keys, counts = np.unique(keys[g.pair_edge_types(keys) >= 0], return_counts=True)
     pairs = np.column_stack(np.divmod(keys, n))
-    return MotifMatrix(g, sig, WeightedGraph.from_pairs(n, pairs, counts.astype(np.int64)), rows)
+    return MotifMatrix(g, sig, WeightedGraph.from_pairs(n, pairs, counts.astype(np.int64)),
+                       lambda: rows, lambda side: _instance_cut(rows, side))
+
+
+def _wedge_matrix(g: HeteroGraph, sig: TypedGraphletSignature, inside: np.ndarray) -> MotifMatrix:
+    """W and cut count of the induced wedges of G[X], X = ``inside``, in closed form.
+
+    Each neighbour of exactly one end of an edge (i, j) makes one induced
+    wedge with it, so W_ij = d_i + d_j - 2 - 2 c_ij, where c_ij counts the
+    triangles on the edge (Benson, Gleich and Leskovec, Science 2016). An
+    occurrence that is not cut lies wholly on one side, so
+    cut(S) = count(G[X]) - count(G[X & S]) - count(G[X - S]), where a graph
+    has sum C(d, 2) - 3 * (triangles) induced wedges. Only the edge keys,
+    the degrees and the triangle rows inside X are read.
+    """
+    n = g.node_count
+    keys = g.sorted_edge_keys[0]
+    ends = np.column_stack(np.divmod(keys, n))
+    held = inside[ends].all(axis=1)
+    keys, ends = keys[held], ends[held]
+    tris = instances_matching(g, TypedGraphletSignature(SKELETONS["triangle"]))
+    tris = tris[inside[tris].all(axis=1)]
+    common = np.bincount(np.searchsorted(keys, _row_pair_keys(g, tris).ravel()),
+                         minlength=len(keys))
+    deg = np.bincount(ends.ravel(), minlength=n)
+    w = deg[ends[:, 0]] + deg[ends[:, 1]] - 2 - 2 * common
+    open_ = w > 0
+
+    def count(side: np.ndarray) -> int:
+        d = np.bincount(ends[side[ends].all(axis=1)].ravel(), minlength=n)
+        return int((d * (d - 1) // 2).sum()) - 3 * int(np.count_nonzero(side[tris].all(axis=1)))
+
+    total = count(inside)
+
+    def rows() -> np.ndarray:
+        rows = instances_matching(g, sig)
+        return rows[inside[rows].all(axis=1)]
+
+    return MotifMatrix(g, sig, WeightedGraph.from_pairs(n, ends[open_], w[open_]), rows,
+                       lambda side: total - count(side) - count(~side))
+
+
+def _brute_force_weights(g: HeteroGraph, sig: TypedGraphletSignature) -> dict[tuple[int, int], int]:
+    """W rebuilt from the subset-scan oracle's occurrences that match ``sig``.
+
+    Guarded to the oracle's 64 nodes.
+    """
+    skel = sig.skeleton
+    weights: dict[tuple[int, int], int] = {}
+    for nodes in brute_force_instances(g, skel):
+        if sig.matches(signature_of(g, nodes, skel, sig.typing_mode)):
+            for e in _induced_edges(g, nodes):
+                weights[e] = weights.get(e, 0) + 1
+    return weights
 
 
 def typed_degree(mm: MotifMatrix, v: int) -> int:
@@ -114,16 +207,22 @@ def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
     return sum(typed_degree(mm, v) for v in side)
 
 
-def _instance_cut(rows: np.ndarray, side: frozenset) -> int:
-    """Occurrence rows with nodes on both sides of the cut."""
-    inside = np.isin(rows, list(side)).sum(axis=1)
+def _side_mask(n: int, side: frozenset) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    mask[np.fromiter(side, np.int64, len(side))] = True
+    return mask
+
+
+def _instance_cut(rows: np.ndarray, side: np.ndarray) -> int:
+    """Occurrence rows with nodes on both sides of a boolean node mask."""
+    inside = side[rows].sum(axis=1)
     return int(np.count_nonzero((inside > 0) & (inside < rows.shape[1])))
 
 
 def typed_cut(g: HeteroGraph, sig: TypedGraphletSignature, s: Iterable[int]) -> int:
     """Number of occurrences with nodes on both sides of the cut."""
     side = _validate_cut(g.node_count, s)
-    return _instance_cut(instances_matching(g, sig), side)
+    return _instance_cut(instances_matching(g, sig), _side_mask(g.node_count, side))
 
 
 def typed_conductance(
@@ -138,13 +237,13 @@ def typed_conductance(
 
 
 def _typed_conductance(mm: MotifMatrix, side: frozenset) -> Fraction:
-    """Typed conductance of a validated cut, from W's degrees and the rows."""
+    """Typed conductance of a validated cut, from W's degrees and cut count."""
     vol_s = int(mm.degrees[sorted(side)].sum())
     vol_rest = int(mm.degrees.sum()) - vol_s
     denom = min(vol_s, vol_rest)
     if denom == 0:
         raise ZeroVolumeError("one side of the cut has zero typed-graphlet volume")
-    return Fraction(_instance_cut(mm.instances, side), denom)
+    return Fraction(mm._cut(_side_mask(mm.graph.node_count, side)), denom)
 
 
 def edge_expansion_measure(
@@ -156,9 +255,9 @@ def edge_expansion_measure(
     in the side; degrees play no role. Kept for comparison only, the sweep
     never optimises it.
     """
-    side = _validate_cut(g.node_count, s)
+    side = _side_mask(g.node_count, _validate_cut(g.node_count, s))
     rows = instances_matching(g, sig)
-    size_s = int(np.isin(rows, list(side)).sum())
+    size_s = int(np.count_nonzero(side[rows]))
     denom = min(size_s, rows.size - size_s)
     if denom == 0:
         raise ZeroVolumeError("one side of the cut touches no occurrence")
@@ -179,7 +278,7 @@ def brute_force_min_conductance(
     n = g.node_count
     _check_cut_search_size(n)
     mm = build_motif_matrix(g, sig)
-    if not len(mm.instances):
+    if not len(mm.motif_graph.pairs):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     masks = np.bitwise_or.reduce(np.uint64(1) << mm.instances.astype(np.uint64), axis=1)
     full = np.uint64((1 << n) - 1)
@@ -230,6 +329,6 @@ def build_normalized_laplacian(
 
 def normalized_laplacian(mm: MotifMatrix) -> NormalizedLaplacian:
     """Laplacian of the motif-induced weighted graph on covered nodes."""
-    if not len(mm.instances):
+    if not len(mm.motif_graph.pairs):
         raise GraphletAbsentError("graphlet absent from graph")
     return build_normalized_laplacian(mm.induced_graph())

@@ -53,8 +53,9 @@ def smallest_eigenpairs(
     Below ``dense_threshold`` rows the full symmetric decomposition runs;
     larger systems use a Lanczos-type Krylov solve on 2I - L (spectrum lies
     in [0, 2], so the smallest eigenvalues of L are the largest of the
-    shifted operator) with a fixed-seed start vector. Every returned pair is
-    checked against the residual bound.
+    shifted operator) with a fixed-seed start vector; a solve that does not
+    converge is retried once with more room before it fails. Every returned
+    pair is checked against the residual bound.
     """
     dim = lap.dim
     if not 1 <= k <= dim:
@@ -69,7 +70,14 @@ def smallest_eigenpairs(
         rng = np.random.default_rng(_ITERATIVE_SEED)
         v0 = rng.standard_normal(dim)
         try:
-            mu, vecs = spla.eigsh(shifted, k=k, which="LA", v0=v0)
+            try:
+                mu, vecs = spla.eigsh(shifted, k=k, which="LA", v0=v0)
+            except spla.ArpackNoConvergence:
+                # One retry from the same start vector, with twice ARPACK's
+                # default Krylov space and restarts, so a failing solve
+                # costs a bounded multiple of the first attempt.
+                mu, vecs = spla.eigsh(shifted, k=k, which="LA", v0=v0,
+                                      ncv=min(dim, max(4 * k + 1, 40)), maxiter=20 * dim)
         except spla.ArpackNoConvergence as exc:
             residual = None
             if exc.eigenvalues is not None and len(exc.eigenvalues):
@@ -211,7 +219,7 @@ def cluster(g: HeteroGraph, sig: TypedGraphletSignature) -> ClusterResult:
 
 
 def _cluster(mm: MotifMatrix) -> ClusterResult:
-    if not len(mm.instances):
+    if not len(mm.motif_graph.pairs):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     comps = _covered_components(gH)
@@ -249,10 +257,10 @@ def recursive_bipartition(
     """Split the covered nodes into up to ``target_k`` parts.
 
     Repeatedly applies :func:`cluster`'s rule to the largest splittable part.
-    A part's motif matrix comes from the parent's occurrence rows that lie
-    wholly inside it, which are exactly the occurrences of its induced
-    subgraph. A part with no such row stops splitting; running out of
-    splittable parts before reaching the target is an early stop.
+    A part's motif matrix counts the parent's occurrences that lie wholly
+    inside it, which are exactly the occurrences of its induced subgraph. A
+    part with no such occurrence stops splitting; running out of splittable
+    parts before reaching the target is an early stop.
     """
     if target_k < 2:
         raise ValueError("target_k must be at least 2")
@@ -266,9 +274,8 @@ def recursive_bipartition(
                   key=lambda i: (-len(parts[i]), parts[i][0]))
         inside = np.zeros(g.node_count, dtype=bool)
         inside[parts[idx]] = True
-        rows = mm.instances[inside[mm.instances].all(axis=1)]
         try:
-            side = _cluster(_motif_matrix(g, sig, rows)).nodes
+            side = _cluster(_motif_matrix(mm, inside)).nodes
         except GraphletAbsentError:
             splittable[idx] = False
             continue
@@ -294,7 +301,7 @@ def spectral_ordering(g: HeteroGraph, sig: TypedGraphletSignature) -> OrderingRe
     raising.
     """
     mm = build_motif_matrix(g, sig)
-    if not len(mm.instances):
+    if not len(mm.motif_graph.pairs):
         return OrderingResult(list(range(g.node_count)), False)
     gH = mm.induced_graph()
     comps = _covered_components(gH)
@@ -322,7 +329,7 @@ def spectral_embedding(
     if dim < 1:
         raise ValueError("embedding dimension must be at least 1")
     mm = build_motif_matrix(g, sig)
-    if not len(mm.instances):
+    if not len(mm.motif_graph.pairs):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     Z = np.zeros((g.node_count, dim), dtype=np.float64)
@@ -369,7 +376,7 @@ def rank_typed_graphlets(
     skipped: list[TypedGraphletSignature] = []
     for sig in sigs:
         mm = build_motif_matrix(g, sig)
-        if not len(mm.instances):
+        if not len(mm.motif_graph.pairs):
             skipped.append(sig)
             continue
         gH = mm.induced_graph()

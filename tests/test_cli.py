@@ -239,6 +239,37 @@ def test_oracle_check_catches_a_dropped_occurrence(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_oracle_check_passes_the_wedge_closed_form(tmp_path, capsys):
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "cluster", "--input", path, "--motif", "wedge",
+                        "--oracle-check")
+    assert code == 0
+    assert "oracle check failed" not in capsys.readouterr().err
+    assert (out / "cluster.txt").exists()
+
+
+def test_oracle_check_catches_a_wrong_motif_matrix_weight(tmp_path, capsys, monkeypatch):
+    import dataclasses
+
+    from typedgraphlets import WeightedGraph, motifmatrix
+
+    closed_form = motifmatrix._wedge_matrix
+
+    def off_by_one(*args):
+        mm = closed_form(*args)
+        weights = mm.motif_graph.pair_weights.copy()
+        weights[0] += 1
+        wg = WeightedGraph.from_pairs(mm.graph.node_count, mm.motif_graph.pairs, weights)
+        return dataclasses.replace(mm, motif_graph=wg)
+
+    monkeypatch.setattr(motifmatrix, "_wedge_matrix", off_by_one)
+    path = write_input(tmp_path, BARBELL_FILE)
+    code, out = run_cli(tmp_path, "cluster", "--input", path, "--motif", "wedge",
+                        "--oracle-check")
+    assert code == 1
+    assert "oracle check failed: motif matrix mismatch" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_oracle_check_rejects_graphs_past_the_subset_scan_limit(tmp_path, capsys):
     path = write_input(tmp_path, "".join(f"v{i} v{i + 1} U U\n" for i in range(64)))
     code, _ = run_cli(tmp_path, "cluster", "--input", path, "--motif", "edge",

@@ -18,9 +18,13 @@ from typedgraphlets import (
     instances_matching,
     parse_signature_spec,
     permute_graph,
+    planted_partition,
     rank_typed_graphlets,
+    recursive_bipartition,
     resolve_skeleton,
     signature_of,
+    spectral_embedding,
+    spectral_ordering,
 )
 from typedgraphlets import HeteroGraph, graphlets
 from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _signature_column
@@ -436,3 +440,30 @@ def test_no_query_reads_the_oracle_edge_index(monkeypatch):
     assert enumerate_all_instances(g)["4-path"]
     with pytest.raises(AssertionError, match="edge_index"):
         g.has_edge(0, 1)
+
+
+def test_untyped_wedge_queries_enumerate_no_wedge(monkeypatch):
+    # The untyped wedge's closed form needs no wedge rows; a typed wedge and
+    # the census still enumerate them.
+    def fresh_graph():
+        return planted_partition([8, 8, 8], 0.6, 0.05, type_count=2, seed=1)[0]
+
+    def queries(sig):
+        g = fresh_graph()
+        return (cluster(g, sig), spectral_ordering(g, sig),
+                spectral_embedding(g, sig, 4), recursive_bipartition(g, sig, 5))
+
+    def refuse(g):
+        raise AssertionError("_wedges called")
+
+    wedge = TypedGraphletSignature(SKELETONS["wedge"])
+    want = queries(wedge)
+    monkeypatch.setattr(graphlets, "_wedges", refuse)
+    got = queries(wedge)
+    assert got[0] == want[0] and got[1] == want[1] and got[3] == want[3]
+    assert np.array_equal(got[2], want[2])
+    assert len(want[3].parts) == 5
+    with pytest.raises(AssertionError, match="_wedges"):
+        cluster(fresh_graph(), TypedGraphletSignature(SKELETONS["wedge"], (0, 0, 1)))
+    with pytest.raises(AssertionError, match="_wedges"):
+        census(fresh_graph(), ["wedge"])

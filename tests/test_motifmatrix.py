@@ -18,6 +18,7 @@ from typedgraphlets import (
     build_motif_matrix,
     build_normalized_laplacian,
     census,
+    cluster,
     connected_components,
     edge_expansion_measure,
     normalized_laplacian,
@@ -31,7 +32,8 @@ from typedgraphlets import (
     weighted_cut,
     weighted_volume,
 )
-from typedgraphlets.graphlets import _induced_edges
+from typedgraphlets.graphlets import _TABLES, _induced_edges, instances_matching
+from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
 
 from conftest import barbell, make_graph, random_graph, random_integer_weights
 
@@ -363,3 +365,65 @@ def test_induced_graph_equals_validated_weighted_graph():
                         a, b = getattr(got, attr), getattr(want, attr)
                         assert a.dtype == b.dtype, (name, mode, attr)
                         assert a.shape == b.shape and (a == b).all(), (name, mode, attr)
+
+
+# ---------------------------------------------------------------- closed-form wedge
+
+def wedge_test_graphs():
+    """Edges of graphs with and without wedges and triangles, by node count."""
+    yield 0, []
+    yield 5, []
+    for k in range(2, 7):  # cliques: no wedge
+        yield k + 1, [(u, v) for u in range(k) for v in range(u + 1, k)]  # plus an isolated node
+    for k in (4, 6, 8):  # even cycles: no triangle
+        yield k, [(i, (i + 1) % k) for i in range(k)]
+    rng = random.Random(7)
+    for n in (2, 5, 9, 14):  # random trees: no triangle
+        yield n, [(rng.randrange(v), v) for v in range(1, n)]
+    yield 7, [(0, v) for v in range(1, 6)]  # a star and an isolated node
+    for seed in range(24):
+        g = random_graph(500 + seed, 6 + seed % 10, 0.15 + 0.03 * seed)
+        yield g.node_count, g.edge_array.tolist()
+
+
+def test_wedge_closed_form_equals_the_row_route_exactly():
+    # Each request gets a fresh graph, so the closed form runs before any
+    # occurrence table of its graph is filled. W, degrees and the cut count
+    # of random sides must equal the row route's as exact integers, on the
+    # whole graph and on random part masks (the partition path).
+    sig = TypedGraphletSignature(SKELETONS["wedge"])
+    rng = random.Random(11)
+    checked = {"no wedge": 0, "no triangle": 0, "both": 0}
+    for n, edges in wedge_test_graphs():
+        fast, slow = make_graph(n, edges), make_graph(n, edges)
+        masks = [np.ones(n, dtype=bool)] + [
+            np.array([rng.random() < 0.7 for _ in range(n)], dtype=bool) for _ in range(4)]
+        mm = build_motif_matrix(fast, sig)
+        parts = [mm] + [_motif_matrix(mm, inside) for inside in masks[1:]]
+        assert "wedge" not in _TABLES.get(fast, {})
+        rows = instances_matching(slow, sig)
+        for got, inside in zip(parts, masks):
+            want = _row_matrix(slow, sig, rows[inside[rows].all(axis=1)])
+            assert list(got.weights.items()) == list(want.weights.items()), (n, edges)
+            assert all(type(w) is int for w in got.weights.values())
+            assert got.degrees.dtype == want.degrees.dtype
+            assert got.degrees.tolist() == want.degrees.tolist()
+            for _ in range(6):
+                side = np.array([rng.random() < 0.5 for _ in range(n)], dtype=bool)
+                assert got._cut(side) == want._cut(side), (n, edges, inside, side)
+                if inside.all() and 0 < side.sum() < n:
+                    assert got._cut(side) == typed_cut(slow, sig, np.flatnonzero(side).tolist())
+            assert np.array_equal(got.instances, want.instances)
+        tri = len(instances_matching(slow, tri_sig()))
+        checked["no wedge" if not len(rows) else "no triangle" if not tri else "both"] += 1
+    assert min(checked.values()) >= 5, checked
+
+
+def test_cut_identity_matches_typed_cut_on_a_wedge_cluster():
+    g = random_graph(41, 40, 0.15)
+    sig = TypedGraphletSignature(SKELETONS["wedge"])
+    res = cluster(g, sig)
+    vol = build_motif_matrix(g, sig).degrees
+    side = set(res.nodes)
+    denom = min(int(vol[sorted(side)].sum()), int(vol.sum() - vol[sorted(side)].sum()))
+    assert res.alpha == Fraction(typed_cut(random_graph(41, 40, 0.15), sig, side), denom)

@@ -1,6 +1,6 @@
 """Property tests: the graph constructor and parser, the enumerator against
-its oracles, relabelling invariance, and the occurrences of an induced
-subgraph.
+its oracles, relabelling invariance, the occurrences of an induced
+subgraph, and the closed-form wedge matrix against the occurrence rows.
 
 Examples are derandomised so every run checks the same graphs. The
 networkx oracles are skipped when networkx is not installed; the package
@@ -25,10 +25,12 @@ from typedgraphlets import (
     connected_components,
     enumerate_all_instances,
     enumerate_instances,
+    instances_matching,
     load_typed_edge_list,
     permute_graph,
     signature_of,
 )
+from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
 from typedgraphlets.spectral import _covered_components
 
 try:
@@ -101,6 +103,33 @@ def test_subgraph_occurrences_are_the_parent_rows_inside_it(case):
         for mode in ("multiset", "set", "strict"):
             for row, old in zip(rows, mapped):
                 assert signature_of(sub, row, skel, mode) == signature_of(g, old, skel, mode)
+
+
+@st.composite
+def graphs_with_masks(draw):
+    g = draw(typed_graphs(max_nodes=12))
+    mask = st.lists(st.booleans(), min_size=g.node_count, max_size=g.node_count)
+    return g, np.array(draw(mask), dtype=bool), np.array(draw(mask), dtype=bool)
+
+
+@PROPERTY_SETTINGS
+@given(graphs_with_masks())
+def test_wedge_closed_form_equals_the_row_route(case):
+    # The closed form runs first on g; a fresh copy of g serves the row
+    # route. Whole graph and part mask, W, degrees and one cut, exactly.
+    g, inside, side = case
+    copy = HeteroGraph(g.node_names, g.node_types, g.edge_array, g.edge_types,
+                       g.node_type_names, g.edge_type_names)
+    sig = TypedGraphletSignature(SKELETONS["wedge"])
+    mm = build_motif_matrix(g, sig)
+    rows = instances_matching(copy, sig)
+    for got, part in ((mm, rows), (_motif_matrix(mm, inside), rows[inside[rows].all(axis=1)])):
+        want = _row_matrix(copy, sig, part)
+        assert list(got.weights.items()) == list(want.weights.items())
+        assert all(type(w) is int for w in got.weights.values())
+        assert got.degrees.dtype == want.degrees.dtype
+        assert got.degrees.tolist() == want.degrees.tolist()
+        assert got._cut(side) == want._cut(side)
 
 
 # ------------------------------------------------------------ graph constructor
