@@ -31,8 +31,6 @@ from .graphlets import (
     SKELETONS,
     Skeleton,
     TypedGraphletSignature,
-    brute_force_all_instances,
-    brute_force_instances,
     census,
     enumerate_all_instances,
     enumerate_instances,
@@ -40,6 +38,10 @@ from .graphlets import (
     instances_matching,
     parse_signature_spec,
     resolve_skeleton,
+)
+from .oracles import (
+    brute_force_all_instances,
+    brute_force_instances,
     signature_of,
 )
 from .motifmatrix import (

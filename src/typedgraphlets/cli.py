@@ -31,13 +31,13 @@ from .evaluation import (
 )
 from .graph import HeteroGraph, read_typed_edge_list
 from .graphlets import (
-    brute_force_instances,
     census,
     enumerate_instances,
     format_signature,
     parse_signature_spec,
 )
 from .motifmatrix import _brute_force_weights, build_motif_matrix
+from .oracles import brute_force_instances
 from .spectral import (
     cluster,
     rank_typed_graphlets,

@@ -119,7 +119,7 @@ def _sample_nonedges(
         # positions gives the same pairs as sampling the candidate list.
         us, vs = np.divmod(cands[rng.sample(range(len(cands)), count)], n)
         return list(zip(us.tolist(), vs.tolist()))
-    edge_set = set(g.edges)
+    edge_keys = set(g.sorted_edge_keys[0].tolist())
     picked: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     budget = 200 * count + 10_000
@@ -130,7 +130,7 @@ def _sample_nonedges(
         if u == v or not table[g.node_types[u], g.node_types[v]]:
             continue
         pair = (u, v) if u < v else (v, u)
-        if pair in edge_set or pair in exclude or pair in seen:
+        if pair[0] * n + pair[1] in edge_keys or pair in exclude or pair in seen:
             continue
         seen.add(pair)
         picked.append(pair)
@@ -203,18 +203,41 @@ def edge_embed(zi: np.ndarray, zj: np.ndarray, op: str) -> np.ndarray:
 # ufuncs directly: np.minimum(np.maximum(.)) clips to exactly np.clip's values
 # and np.add.reduce(.) / n is exactly np.mean, without their wrapper layers.
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -35.0), 35.0)))
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-clip(z, -35, 35)))``, into ``out`` when given (it may be ``z``)."""
+    out = np.maximum(z, -35.0, out=out)
+    np.minimum(out, 35.0, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.add(out, 1.0, out=out)
+    return np.divide(1.0, out, out=out)
+
+
+def _loss_into(
+    Xb: np.ndarray, flip: np.ndarray, w: np.ndarray, l2: float, p: np.ndarray, work: np.ndarray
+) -> float:
+    """Penalised logistic loss at ``w``; leaves the probabilities in ``p``.
+
+    ``flip`` is 1 - y for labels y of 0 or 1, and ``work`` is a spare
+    buffer of the same length. Per row, y * log(p + eps) + (1 - y) *
+    log(1 - p + eps) is log(|flip - p| + eps) exactly: the term a 0 label
+    multiplies is finite, so it adds 0, and |flip - p| is p or 1 - p.
+    """
+    _sigmoid(np.matmul(Xb, w, out=p), out=p)
+    np.subtract(flip, p, out=work)
+    np.abs(work, out=work)
+    np.add(work, 1e-12, out=work)
+    np.log(work, out=work)
+    data = -(np.add.reduce(work) / len(work))
+    return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1]))
 
 
 def _loss_and_probs(
     Xb: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray]:
-    """Penalised logistic loss at ``w`` and the probabilities it was computed from."""
-    p = _sigmoid(Xb @ w)
-    eps = 1e-12
-    data = -(np.add.reduce(y * np.log(p + eps) + (1 - y) * np.log(1 - p + eps)) / len(y))
-    return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1])), p
+    """Penalised logistic loss at ``w`` for labels of 0 or 1, and the probabilities."""
+    p = np.empty(len(y))
+    return _loss_into(Xb, 1 - y, w, l2, p, np.empty(len(y))), p
 
 
 def train_linear_classifier(
@@ -227,34 +250,40 @@ def train_linear_classifier(
 ) -> np.ndarray:
     """Full-batch gradient-descent logistic regression with L2 penalty.
 
-    The step halves whenever a move would increase the loss, so training
-    loss is monotone non-increasing. The intercept sits in the last weight
-    slot and is not penalised. Returns the weight vector of length d+1.
+    Labels must be 0 or 1. The step halves whenever a move would increase
+    the loss, so training loss is monotone non-increasing. The intercept
+    sits in the last weight slot and is not penalised. Returns the weight
+    vector of length d+1.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
         raise ValueError("X and y shapes are inconsistent")
+    if not np.all((y == 0) | (y == 1)):
+        raise ValueError("training labels must be 0 or 1")
     if len(np.unique(y)) < 2:
         raise ValueError("training labels contain a single class")
     n, d = X.shape
     Xb = np.hstack([X, np.ones((n, 1))])
     rng = np.random.default_rng(seed)
     w = 0.01 * rng.standard_normal(d + 1)
-    # p holds the probabilities at the current w: an accepted candidate
-    # brings the ones its loss was computed from, so none is computed twice.
-    loss, p = _loss_and_probs(Xb, y, w, l2)
+    flip = 1 - y
+    # p holds the probabilities at the current w and q a candidate's; an
+    # accepted candidate swaps them, so none is computed twice.
+    p, q, work = np.empty(n), np.empty(n), np.empty(n)
+    loss = _loss_into(Xb, flip, w, l2, p, work)
     for _ in range(iters):
-        grad = Xb.T @ (p - y) / n
+        grad = Xb.T @ np.subtract(p, y, out=work) / n
         grad[:-1] += l2 * w[:-1]
         cand = w - step * grad
-        cand_loss, cand_p = _loss_and_probs(Xb, y, cand, l2)
+        cand_loss = _loss_into(Xb, flip, cand, l2, q, work)
         while cand_loss > loss and step > 1e-12:
             step *= 0.5
             cand = w - step * grad
-            cand_loss, cand_p = _loss_and_probs(Xb, y, cand, l2)
+            cand_loss = _loss_into(Xb, flip, cand, l2, q, work)
         if cand_loss <= loss:
-            w, loss, p = cand, cand_loss, cand_p
+            w, loss = cand, cand_loss
+            p, q = q, p
     return w
 
 

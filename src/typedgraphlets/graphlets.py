@@ -3,8 +3,9 @@
 The catalog covers the eight connected 3- and 4-node shapes plus the single
 edge (needed for the classical spectral reduction and baselines). Instances
 are always induced occurrences, deduplicated by node set. The fast
-enumerator reads only the graph's CSR form and sorted edge keys; an O(n^4)
-subset scan over ``has_edge`` is kept as an independent oracle for testing.
+enumerator reads only the graph's CSR form and sorted edge keys; its
+independent oracles, an O(n^4) subset scan and one-occurrence typing over
+``has_edge``, live in ``oracles``.
 
 Every query reads one occurrence table per (graph, skeleton, typing mode):
 the occurrences as an integer array of node ids, enumerated once per graph,
@@ -17,14 +18,12 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import UnknownTypeError
 from .graph import HeteroGraph
-
-BRUTE_FORCE_MAX_NODES = 64
 
 
 @dataclass(frozen=True)
@@ -70,12 +69,6 @@ SKELETON_ORDER = tuple(SKELETONS)
 THREE_FOUR_NODE = SKELETON_ORDER[1:]
 
 _ALIASES = {"3-path": "wedge", "chordal-cycle": "diamond"}
-
-# Degree sequence plus edge count identifies every connected graph on at
-# most 4 nodes, so induced subgraphs classify by table lookup.
-_CLASSIFY = {
-    (s.node_count, s.edge_count, s.degree_sequence): s.name for s in SKELETONS.values()
-}
 
 TYPING_MODES = ("multiset", "set", "strict")
 
@@ -124,10 +117,6 @@ class TypedGraphletSignature:
         return self.node_types is None and self.edge_types is None
 
 
-def _induced_edges(g: HeteroGraph, nodes: Sequence[int]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in combinations(sorted(nodes), 2) if g.has_edge(u, v)]
-
-
 @lru_cache(maxsize=None)
 def _automorphism_perms(skel: Skeleton) -> tuple[tuple[int, ...], ...]:
     edge_set = {frozenset(e) for e in skel.edges}
@@ -136,43 +125,6 @@ def _automorphism_perms(skel: Skeleton) -> tuple[tuple[int, ...], ...]:
         if all(frozenset((p[u], p[v])) in edge_set for u, v in skel.edges):
             out.append(p)
     return tuple(out)
-
-
-def signature_of(
-    g: HeteroGraph,
-    nodes: Sequence[int],
-    skel: Skeleton,
-    typing_mode: str = "multiset",
-) -> TypedGraphletSignature:
-    """Signature of the induced occurrence of ``skel`` on ``nodes``.
-
-    One occurrence at a time, from ``has_edge`` and ``edge_type_of``:
-    the oracle for the vectorised typing of ``_signature_column``.
-    """
-    nodes = tuple(sorted(nodes))
-    edges = _induced_edges(g, nodes)
-    ntypes = [g.node_types[v] for v in nodes]
-    etypes = [g.edge_type_of(u, v) for u, v in edges]
-    if typing_mode == "multiset":
-        return TypedGraphletSignature(skel, tuple(sorted(ntypes)), tuple(sorted(etypes)), "multiset")
-    if typing_mode == "set":
-        return TypedGraphletSignature(
-            skel, tuple(sorted(set(ntypes))), tuple(sorted(set(etypes))), "set"
-        )
-    # strict: canonical positional typing, minimised over all isomorphisms
-    # onto the canonical skeleton labelling.
-    best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-    k = skel.node_count
-    for p in permutations(range(k)):
-        if not all(g.has_edge(nodes[p[u]], nodes[p[v]]) for u, v in skel.edges):
-            continue
-        nk = tuple(g.node_types[nodes[p[i]]] for i in range(k))
-        ek = tuple(g.edge_type_of(nodes[p[u]], nodes[p[v]]) for u, v in skel.edges)
-        if best is None or (nk, ek) < best:
-            best = (nk, ek)
-    if best is None:
-        raise ValueError("nodes do not induce the given skeleton")
-    return TypedGraphletSignature(skel, best[0], best[1], "strict")
 
 
 def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -220,23 +172,59 @@ def _triangles(g: HeteroGraph) -> np.ndarray:
     return np.column_stack([u[closed], v[closed], w[closed]])
 
 
-def _wedges(g: HeteroGraph) -> np.ndarray:
-    """Induced wedges as ascending rows, in lexicographic order.
+def _pairs_within(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position pairs (i, j), i < j, inside each segment ``indptr[s] .. indptr[s + 1] - 1``.
 
-    Each position of the CSR ``indices`` pairs with every later position of
-    its segment, so every center meets each pair of its neighbours once; a
-    pair is kept when its two ends are not adjacent.
+    Pairs come out ordered by i, then j.
+    """
+    at = np.arange(indptr[-1])
+    later = np.repeat(indptr[1:], np.diff(indptr)) - at - 1
+    return np.repeat(at, later), _segments(at + 1, later)
+
+
+def _centred_wedges(g: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Induced wedges as (centre, low end, high end), ordered by centre, then ends.
+
+    Each centre meets each pair of its ascending CSR neighbours once; a pair
+    is kept when its two ends are not adjacent.
     """
     indptr, indices = g.neighbours
-    at = np.arange(len(indices))
-    later = np.repeat(indptr[1:], g.degrees) - at - 1
-    first, second = np.repeat(at, later), _segments(at + 1, later)
+    first, second = _pairs_within(indptr)
     open_ = g.pair_edge_types(indices[first] * g.node_count + indices[second]) < 0
     first, second = first[open_], second[open_]
-    center = np.repeat(np.arange(g.node_count), g.degrees)[first]
-    rows = np.column_stack([center, indices[first], indices[second]])
+    return np.repeat(np.arange(g.node_count), g.degrees)[first], indices[first], indices[second]
+
+
+def _wedges(g: HeteroGraph) -> np.ndarray:
+    """Induced wedges as ascending rows, in lexicographic order."""
+    rows = np.column_stack(_centred_wedges(g))
     rows.sort(axis=1)
     return _unique_rows(rows, g.node_count)
+
+
+def _four_cycles(g: HeteroGraph) -> np.ndarray:
+    """Induced 4-cycles as ascending int32 rows, in lexicographic order.
+
+    An induced 4-cycle is two induced wedges on one end pair whose centres
+    are not adjacent. A stable sort by end pair keeps each pair's centres
+    ascending; of a cycle's two end pairs, the one holding its smallest
+    node lists it.
+    """
+    n = g.node_count
+    centre, low, high = _centred_wedges(g)
+    keys = low * n + high
+    order = np.argsort(keys, kind="stable")
+    centre, low, high, keys = centre[order], low[order], high[order], keys[order]
+    bounds = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    first, second = _pairs_within(np.concatenate([[0], bounds, [len(keys)]]))
+    smallest = low[first] < centre[first]
+    first, second = first[smallest], second[smallest]
+    apart = g.pair_edge_types(centre[first] * n + centre[second]) < 0
+    first, second = first[apart], second[apart]
+    rows = np.column_stack([low[first], high[first], centre[first], centre[second]])
+    rows = rows.astype(np.int32)
+    rows.sort(axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 # (edge count, max degree) tells the connected 4-node shapes apart; each
@@ -245,19 +233,19 @@ _FOUR_NODE_SHAPES = {(s.edge_count, s.degree_sequence[-1]): s.name
                      for s in SKELETONS.values() if s.node_count == 4}
 _NODE_PAIRS = [[i for i, pair in enumerate(combinations(range(4), 2)) if v in pair]
                for v in range(4)]
+# The 4-node shapes that hold a triangle: a triangle plus one neighbour of it.
+_TRIANGLE_SHAPES = ("tailed-triangle", "diamond", "4-clique")
 
 
-def _four_node_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
-    """All induced 4-node occurrences as ascending rows, keyed by skeleton name.
+def _grown_rows(g: HeteroGraph, seeds: np.ndarray) -> dict[str, np.ndarray]:
+    """The 4-node sets of an int32 seed row plus one neighbour, keyed by skeleton name.
 
-    Every connected 4-node graph has a non-cut vertex, so each occurrence is
-    a triangle or an induced wedge plus one neighbour of it. Every such seed
-    grows by each neighbour of each of its nodes; an occurrence reached from
-    several seeds collapses to one row, and the shape follows from the
-    row's edge count and maximum degree.
+    Every seed grows by each neighbour of each of its nodes; a set reached
+    from several seeds collapses to one ascending row, and the shape follows
+    from the row's edge count and maximum degree. Rows are in lexicographic
+    order.
     """
     indptr, indices = g.neighbours
-    seeds = np.vstack([_triangles(g), _wedges(g)]).astype(np.int32)
     counts = g.degrees[seeds]
     quads = np.empty((counts.sum(), 4), dtype=np.int32)
     at = 0
@@ -277,6 +265,25 @@ def _four_node_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
     max_deg = linked[:, _NODE_PAIRS].sum(axis=2).max(axis=1)
     return {name: quads[(edges == m) & (max_deg == d)]
             for (m, d), name in _FOUR_NODE_SHAPES.items()}
+
+
+def _four_node_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
+    """All induced 4-node occurrences as ascending rows, keyed by skeleton name.
+
+    Every connected 4-node graph has a non-cut vertex, so each occurrence is
+    a triangle or an induced wedge plus one neighbour of it.
+    """
+    return _grown_rows(g, np.vstack([_triangles(g), _wedges(g)]).astype(np.int32))
+
+
+def _triangle_shape_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
+    """Induced tailed triangles, diamonds and 4-cliques, from the triangles alone.
+
+    The neighbour a triangle grows by touches one, two or three of its
+    nodes, which makes a tailed triangle, a diamond or a 4-clique.
+    """
+    grown = _grown_rows(g, _triangles(g).astype(np.int32))
+    return {name: grown[name] for name in _TRIANGLE_SHAPES}
 
 
 def _tuples(g: HeteroGraph, rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -312,19 +319,27 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
     """Read-only (occurrences, k) node ids of ``skel``, rows as enumerated.
 
-    One 4-node request fills all six 4-node tables from one expansion.
+    A 4-node request takes the route of its shape: the 4-cycle pairs
+    wedges, a shape holding a triangle grows the triangles (which fills all
+    three such tables), and the 4-path and 4-star run the full expansion,
+    which fills every 4-node table still missing.
     """
     tables = _TABLES.setdefault(g, {})
     if skel.name not in tables:
-        if skel.node_count == 4:
+        if skel.name == "4-cycle":
+            found = {"4-cycle": _four_cycles(g)}
+        elif skel.name in _TRIANGLE_SHAPES:
+            found = _triangle_shape_rows(g)
+        elif skel.node_count == 4:
             found = _four_node_rows(g)
         else:
             nodes, k = enumerate_instances(g, skel), skel.node_count
             found = {skel.name: np.fromiter(chain.from_iterable(nodes), np.int32,
                                             k * len(nodes)).reshape(-1, k)}
         for name, rows in found.items():
-            rows.flags.writeable = False
-            tables[name] = rows
+            if name not in tables:
+                rows.flags.writeable = False
+                tables[name] = rows
     return tables[skel.name]
 
 
@@ -450,44 +465,6 @@ def census(
             key=lambda kv: (order[kv[0].skeleton.name], kv[0].node_types, kv[0].edge_types),
         )
     )
-
-
-def classify_induced(g: HeteroGraph, nodes: Sequence[int]) -> str | None:
-    """Name of the connected shape induced on ``nodes``, or None."""
-    nodes = tuple(sorted(nodes))
-    edges = _induced_edges(g, nodes)
-    degrees = tuple(sorted(sum(v in e for e in edges) for v in nodes))
-    return _CLASSIFY.get((len(nodes), len(edges), degrees))
-
-
-def _brute_force(g: HeteroGraph, sizes: Iterable[int]) -> dict[str, list[tuple[int, ...]]]:
-    """Scan every subset of V of each size and keep the connected shapes.
-
-    Independent of the fast expansion path; guarded to 64 nodes because the
-    scan is O(n^4).
-    """
-    if g.node_count > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_MAX_NODES} nodes, got {g.node_count}"
-        )
-    out: dict[str, list[tuple[int, ...]]] = {name: [] for name in SKELETON_ORDER}
-    for k in sizes:
-        for nodes in combinations(range(g.node_count), k):
-            name = classify_induced(g, nodes)
-            if name is not None:
-                out[name].append(nodes)
-    return out
-
-
-def brute_force_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
-    """Oracle occurrence node sets of one skeleton, lexicographic order."""
-    skel = resolve_skeleton(skel)
-    return _brute_force(g, [skel.node_count])[skel.name]
-
-
-def brute_force_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
-    """Oracle occurrence node sets for every catalog skeleton."""
-    return _brute_force(g, (2, 3, 4))
 
 
 def parse_signature_spec(

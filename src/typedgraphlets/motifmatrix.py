@@ -22,6 +22,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
+from . import oracles
 from .errors import GraphletAbsentError, ZeroVolumeError
 from .graph import (
     HeteroGraph,
@@ -31,15 +32,7 @@ from .graph import (
     _min_conductance_cut,
     _validate_cut,
 )
-from .graphlets import (
-    SKELETONS,
-    TypedGraphletSignature,
-    _induced_edges,
-    _row_pair_keys,
-    brute_force_instances,
-    instances_matching,
-    signature_of,
-)
+from .graphlets import SKELETONS, TypedGraphletSignature, _row_pair_keys, instances_matching
 
 
 @dataclass
@@ -182,9 +175,9 @@ def _brute_force_weights(g: HeteroGraph, sig: TypedGraphletSignature) -> dict[tu
     """
     skel = sig.skeleton
     weights: dict[tuple[int, int], int] = {}
-    for nodes in brute_force_instances(g, skel):
-        if sig.matches(signature_of(g, nodes, skel, sig.typing_mode)):
-            for e in _induced_edges(g, nodes):
+    for nodes in oracles.brute_force_instances(g, skel):
+        if sig.matches(oracles.signature_of(g, nodes, skel, sig.typing_mode)):
+            for e in oracles._induced_edges(g, nodes):
                 weights[e] = weights.get(e, 0) + 1
     return weights
 

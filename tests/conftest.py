@@ -10,6 +10,7 @@ from typedgraphlets import (
     connected_components,
     planted_partition,
 )
+from typedgraphlets import graphlets
 
 
 def make_graph(n, edges, node_types=None, edge_types=None,
@@ -46,6 +47,33 @@ def random_graph(seed, n, p, n_type_count=1, e_type_count=1):
         [f"T{t}" for t in range(n_type_count)],
         [f"r{t}" for t in range(e_type_count)],
     )
+
+
+def copy_graph(g):
+    """A fresh graph equal to ``g``, so that no occurrence table exists yet."""
+    return HeteroGraph(g.node_names, g.node_types, g.edge_array, g.edge_types,
+                       g.node_type_names, g.edge_type_names)
+
+
+# The graphlets function that fills each 4-node table on a fresh graph.
+FOUR_NODE_ROUTES = {
+    "4-path": "_four_node_rows",
+    "4-star": "_four_node_rows",
+    "4-cycle": "_four_cycles",
+    "tailed-triangle": "_triangle_shape_rows",
+    "diamond": "_triangle_shape_rows",
+    "4-clique": "_triangle_shape_rows",
+}
+
+
+def count_four_node_routes(monkeypatch, calls):
+    """Patch each 4-node route to append its function name to ``calls``."""
+    for route in sorted(set(FOUR_NODE_ROUTES.values())):
+        def counting(g, route=route, original=getattr(graphlets, route)):
+            calls.append(route)
+            return original(g)
+
+        monkeypatch.setattr(graphlets, route, counting)
 
 
 def barbell():

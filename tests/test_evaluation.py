@@ -23,7 +23,7 @@ from typedgraphlets import (
     split_edges,
     train_linear_classifier,
 )
-from typedgraphlets import evaluation
+from typedgraphlets import HeteroGraph, evaluation
 from typedgraphlets.evaluation import (
     _average_ranks,
     _loss_and_probs,
@@ -215,6 +215,42 @@ def test_classifier_zero_features_predict_half():
 def test_classifier_single_class_rejected():
     with pytest.raises(ValueError, match="single class"):
         train_linear_classifier(np.ones((5, 2)), np.ones(5))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2, 1], [0, 1, 0.5, 1], [0, 1, -1, 1],
+                                    [0, 1, np.nan, 1], [2, 2, 2, 2]])
+def test_classifier_labels_other_than_0_and_1_rejected(labels):
+    with pytest.raises(ValueError, match="training labels must be 0 or 1"):
+        train_linear_classifier(np.ones((4, 2)), np.array(labels, dtype=float))
+
+
+def two_log_loss_and_probs(Xb, y, w, l2):
+    """The penalised logistic loss as its textbook two-log formula."""
+    p = 1.0 / (1.0 + np.exp(-np.clip(Xb @ w, -35.0, 35.0)))
+    data = -np.mean(y * np.log(p + 1e-12) + (1 - y) * np.log(1 - p + 1e-12))
+    return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1])), p
+
+
+def test_one_log_loss_equals_the_two_log_formula_bit_for_bit():
+    rng = np.random.default_rng(19)
+    # Logits across and past the clip at +-35, where p is within a few
+    # ulps of 0 and 1, plus ordinary ones.
+    z = np.concatenate([np.linspace(-60.0, 60.0, 481), [-35.0, -34.9, 34.9, 35.0, 0.0],
+                        20.0 * rng.standard_normal(300)])
+    Xb = np.column_stack([z, np.ones_like(z)])
+    for y in (rng.integers(0, 2, len(z)).astype(float), np.zeros(len(z)), np.ones(len(z))):
+        for w, l2 in (([1.0, 0.0], 0.0), ([0.7, -3.0], 1e-4), ([3.0, 1.0], 0.5)):
+            w = np.array(w)
+            got, p = _loss_and_probs(Xb, y, w, l2)
+            want, want_p = two_log_loss_and_probs(Xb, y, w, l2)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert p.tobytes() == want_p.tobytes()
+            # Row by row, so that no term can hide inside the sum.
+            for i in range(0, len(z), 7):
+                row = slice(i, i + 1)
+                assert (_loss_and_probs(Xb[row], y[row], w, 0.0)[0]
+                        == two_log_loss_and_probs(Xb[row], y[row], w, 0.0)[0])
+    assert p.max() > 1 - 1e-15 and p.min() < 1e-15
 
 
 def test_classifier_loss_monotone():
@@ -457,6 +493,33 @@ def test_sample_nonedges_rejection_branch_matches_loop(monkeypatch):
             assert got == loop_rejected_nonedges(g, patterns, 25, random.Random(seed), exclude)
     with pytest.raises(ValueError, match="within sampling budget"):
         _sample_nonedges(g, {(0, 1)}, 10_000, random.Random(0), set())
+
+
+def test_no_query_reads_the_edge_tuples(monkeypatch):
+    # The rejection branch tests membership by edge key, so ``edges`` is
+    # left to the oracles.
+    monkeypatch.setattr(evaluation, "_ENUMERATE_PAIR_LIMIT", 10)
+
+    def fresh_graph():
+        return planted_partition([10, 10, 10], 0.5, 0.05, type_count=2, seed=4)[0]
+
+    def queries():
+        g = fresh_graph()
+        sig = TypedGraphletSignature(SKELETONS["4-cycle"])
+        return (link_prediction_eval(g, sig, 4, seed=2),
+                link_prediction_eval(g, TypedGraphletSignature(SKELETONS["edge"]), 3,
+                                     seed=3, edge_type=0),
+                compressed_size_estimate(g, list(range(30))[::-1]),
+                external_conductance(g, range(10)))
+
+    def refuse(self):
+        raise AssertionError("edges read outside the oracles")
+
+    want = queries()
+    monkeypatch.setattr(HeteroGraph, "edges", property(refuse))
+    assert queries() == want
+    with pytest.raises(AssertionError, match="edges read"):
+        fresh_graph().has_edge(0, 1)
 
 
 @pytest.mark.parametrize("below, oracle", [(0, loop_enumerated_nonedges),

@@ -26,10 +26,17 @@ from typedgraphlets import (
     spectral_embedding,
     spectral_ordering,
 )
-from typedgraphlets import HeteroGraph, graphlets
+from typedgraphlets import HeteroGraph, graphlets, oracles
 from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _signature_column
 
-from conftest import barbell, make_graph, random_graph
+from conftest import (
+    FOUR_NODE_ROUTES,
+    barbell,
+    copy_graph,
+    count_four_node_routes,
+    make_graph,
+    random_graph,
+)
 
 SHAPE_EDGE_COUNTS = {
     "edge": 1, "wedge": 2, "triangle": 3, "4-path": 3, "4-star": 3,
@@ -335,42 +342,60 @@ def test_barbell_has_two_triangles():
 # ---------------------------------------------------------------- occurrence tables
 
 def test_census_and_ranking_enumerate_each_skeleton_once(monkeypatch):
-    calls: dict[str, int] = {}
+    calls = []
     enumerate_original = graphlets.enumerate_instances
-    four_original = graphlets._four_node_rows
 
     def counting_enumerate(g, skel):
-        name = resolve_skeleton(skel).name
-        calls[name] = calls.get(name, 0) + 1
+        calls.append(resolve_skeleton(skel).name)
         return enumerate_original(g, skel)
 
-    def counting_four(*args):
-        calls["4-node"] = calls.get("4-node", 0) + 1
-        return four_original(*args)
-
     monkeypatch.setattr(graphlets, "enumerate_instances", counting_enumerate)
-    monkeypatch.setattr(graphlets, "_four_node_rows", counting_four)
+    count_four_node_routes(monkeypatch, calls)
     g = random_graph(7, 14, 0.35, n_type_count=2)
     table = census(g)
     rank_typed_graphlets(g, list(table))
     census(g, typing_mode="set")
-    assert calls == {"wedge": 1, "triangle": 1, "4-node": 1}
+    # The 4-path comes first, so its full expansion fills every 4-node table.
+    assert calls == ["wedge", "triangle", "_four_node_rows"]
 
 
 def test_enumerate_instances_reads_the_four_node_table(monkeypatch):
-    expansions = []
-    four_original = graphlets._four_node_rows
+    routes = []
+    count_four_node_routes(monkeypatch, routes)
+    for name, route in FOUR_NODE_ROUTES.items():
+        routes.clear()
+        g = random_graph(9, 14, 0.45, n_type_count=2)
+        listed = enumerate_instances(g, name)
+        rows = instances_matching(g, TypedGraphletSignature(SKELETONS[name]))
+        assert listed and listed == [tuple(row) for row in rows.tolist()], name
+        assert routes == [route], name
 
-    def counting_four(g):
-        expansions.append(g)
-        return four_original(g)
 
-    monkeypatch.setattr(graphlets, "_four_node_rows", counting_four)
-    g = random_graph(9, 14, 0.35, n_type_count=2)
-    listed = enumerate_instances(g, "4-cycle")
-    rows = instances_matching(g, TypedGraphletSignature(SKELETONS["4-cycle"]))
-    assert listed and listed == [tuple(row) for row in rows.tolist()]
-    assert expansions == [g]
+@pytest.mark.parametrize("n, edges", [
+    pytest.param(0, [], id="no node"),
+    pytest.param(9, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (3, 6), (4, 5), (4, 6), (5, 6),
+                     (7, 8)], id="no wedge"),
+    pytest.param(8, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6), (6, 7)],
+                 id="no triangle"),
+    pytest.param(4, [(0, 1), (1, 2), (2, 3), (0, 3)], id="lone C4"),
+    pytest.param(4, [(0, 1), (1, 2), (2, 3), (0, 3), (1, 3)], id="C4 plus one chord"),
+    pytest.param(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], id="K4"),
+    pytest.param(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)],
+                 id="three centres on one end pair"),
+    pytest.param(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3)],
+                 id="three centres, two of them adjacent"),
+    pytest.param(4, [(0, 2), (0, 3), (1, 2), (1, 3)], id="C4 whose smallest node is a centre"),
+    pytest.param(9, [(2, 8), (8, 5), (5, 6), (6, 2), (0, 5), (1, 2), (1, 8)],
+                 id="C4 and triangle among pendants"),
+])
+def test_four_node_routes_equal_the_oracle_and_the_full_expansion(n, edges):
+    g = make_graph(n, edges)
+    oracle = brute_force_all_instances(g)
+    full = graphlets._four_node_rows(copy_graph(g))
+    for name in FOUR_NODE_ROUTES:
+        rows = _occurrence_rows(copy_graph(g), SKELETONS[name])  # its route runs first
+        assert [tuple(row) for row in rows.tolist()] == oracle[name], name
+        assert rows.dtype == full[name].dtype and np.array_equal(rows, full[name]), name
 
 
 def test_occurrence_tables_die_with_their_graph():
@@ -415,7 +440,7 @@ def test_no_query_calls_the_signature_oracle(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("signature_of called outside the tests")
 
-    monkeypatch.setattr(graphlets, "signature_of", refuse)
+    monkeypatch.setattr(oracles, "signature_of", refuse)
     g = random_graph(12, 12, 0.4, n_type_count=2, e_type_count=2)
     for mode in ("multiset", "set", "strict"):
         assert census(g, typing_mode=mode)

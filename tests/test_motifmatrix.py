@@ -32,7 +32,8 @@ from typedgraphlets import (
     weighted_cut,
     weighted_volume,
 )
-from typedgraphlets.graphlets import _TABLES, _induced_edges, instances_matching
+from typedgraphlets.graphlets import _TABLES, instances_matching
+from typedgraphlets.oracles import _induced_edges
 from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
 
 from conftest import barbell, make_graph, random_graph, random_integer_weights

@@ -1,6 +1,7 @@
-"""Property tests: the graph constructor and parser, the enumerator against
-its oracles, relabelling invariance, the occurrences of an induced
-subgraph, and the closed-form wedge matrix against the occurrence rows.
+"""Property tests: the graph constructor and parser, the enumerator and each
+4-node route against their oracles, relabelling invariance, the occurrences
+of an induced subgraph, and the closed-form wedge matrix against the
+occurrence rows.
 
 Examples are derandomised so every run checks the same graphs. The
 networkx oracles are skipped when networkx is not installed; the package
@@ -30,8 +31,11 @@ from typedgraphlets import (
     permute_graph,
     signature_of,
 )
+from typedgraphlets.graphlets import _four_node_rows, _occurrence_rows
 from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
 from typedgraphlets.spectral import _covered_components
+
+from conftest import FOUR_NODE_ROUTES, copy_graph
 
 try:
     import networkx as nx
@@ -63,6 +67,17 @@ def typed_graphs(draw, max_nodes=10):
 @given(typed_graphs())
 def test_enumerator_equals_oracle(g):
     assert enumerate_all_instances(g) == brute_force_all_instances(g)
+
+
+@PROPERTY_SETTINGS
+@given(typed_graphs(max_nodes=11))
+def test_four_node_routes_equal_the_oracle_and_the_full_expansion(g):
+    oracle = brute_force_all_instances(g)
+    full = _four_node_rows(copy_graph(g))
+    for name in FOUR_NODE_ROUTES:
+        rows = _occurrence_rows(copy_graph(g), SKELETONS[name])  # its route runs first
+        assert [tuple(row) for row in rows.tolist()] == oracle[name]
+        assert rows.dtype == full[name].dtype and np.array_equal(rows, full[name])
 
 
 @PROPERTY_SETTINGS
@@ -118,8 +133,7 @@ def test_wedge_closed_form_equals_the_row_route(case):
     # The closed form runs first on g; a fresh copy of g serves the row
     # route. Whole graph and part mask, W, degrees and one cut, exactly.
     g, inside, side = case
-    copy = HeteroGraph(g.node_names, g.node_types, g.edge_array, g.edge_types,
-                       g.node_type_names, g.edge_type_names)
+    copy = copy_graph(g)
     sig = TypedGraphletSignature(SKELETONS["wedge"])
     mm = build_motif_matrix(g, sig)
     rows = instances_matching(copy, sig)

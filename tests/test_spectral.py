@@ -39,8 +39,10 @@ from typedgraphlets import (
 )
 
 from conftest import (
+    FOUR_NODE_ROUTES,
     barbell,
     connected_random_graph,
+    count_four_node_routes,
     make_graph,
     random_graph,
     random_integer_weights,
@@ -534,30 +536,26 @@ def test_partition_equals_the_subgraph_route():
 def test_partition_enumerates_once_and_builds_no_subgraph(monkeypatch):
     calls = []
     enumerate_original = graphlets.enumerate_instances
-    four_original = graphlets._four_node_rows
 
     def counting_enumerate(g, skel):
         calls.append(resolve_skeleton(skel).name)
         return enumerate_original(g, skel)
-
-    def counting_four(g):
-        calls.append("4-node")
-        return four_original(g)
 
     def fresh_graph():
         return planted_partition([8, 8, 8], 0.6, 0.05, type_count=2, seed=1)[0]
 
     monkeypatch.setattr(HeteroGraph, "subgraph", lambda *args: calls.append("subgraph"))
     monkeypatch.setattr(graphlets, "enumerate_instances", counting_enumerate)
-    monkeypatch.setattr(graphlets, "_four_node_rows", counting_four)
+    count_four_node_routes(monkeypatch, calls)
     for name in SKELETON_ORDER:
         for sig in (TypedGraphletSignature(SKELETONS[name]), top_signature(fresh_graph(), name, "strict")):
             calls.clear()
             res = recursive_bipartition(fresh_graph(), sig, 8)
             assert len(res.parts) >= 3, sig
-            # The untyped wedge's closed form reads the triangle rows instead.
+            # The untyped wedge's closed form reads the triangle rows instead;
+            # a 4-node shape runs the one route that fills its table.
             want = "triangle" if sig.is_wildcard and name == "wedge" else name
-            assert calls == [want if sig.skeleton.node_count < 4 else "4-node"], sig
+            assert calls == [FOUR_NODE_ROUTES.get(want, want)], sig
 
 
 # ---------------------------------------------------------------- ordering
