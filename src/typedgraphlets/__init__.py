@@ -16,15 +16,11 @@ from .errors import (
 from .graph import (
     HeteroGraph,
     WeightedGraph,
-    brute_force_min_weighted_conductance,
     connected_components,
     inverse_permutation,
     load_typed_edge_list,
     permute_graph,
     read_typed_edge_list,
-    weighted_conductance,
-    weighted_cut,
-    weighted_volume,
 )
 from .graphlets import (
     SKELETON_ORDER,
@@ -39,23 +35,27 @@ from .graphlets import (
     parse_signature_spec,
     resolve_skeleton,
 )
-from .oracles import (
-    brute_force_all_instances,
-    brute_force_instances,
-    signature_of,
-)
 from .motifmatrix import (
     MotifMatrix,
     NormalizedLaplacian,
-    brute_force_min_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
     edge_expansion_measure,
     normalized_laplacian,
     typed_conductance,
     typed_cut,
+)
+from .oracles import (
+    brute_force_all_instances,
+    brute_force_instances,
+    brute_force_min_conductance,
+    brute_force_min_weighted_conductance,
+    signature_of,
     typed_degree,
     typed_volume,
+    weighted_conductance,
+    weighted_cut,
+    weighted_volume,
 )
 from .spectral import (
     ClusterResult,

@@ -36,8 +36,8 @@ from .graphlets import (
     format_signature,
     parse_signature_spec,
 )
-from .motifmatrix import _brute_force_weights, build_motif_matrix
-from .oracles import brute_force_instances
+from .motifmatrix import build_motif_matrix
+from .oracles import _brute_force_weights, brute_force_instances
 from .spectral import (
     cluster,
     rank_typed_graphlets,

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import DegenerateCutError, EdgeListFormatError, ZeroVolumeError
+from .errors import DegenerateCutError, EdgeListFormatError
 
 # Label used when the input carries no edge-type column.
 DEFAULT_EDGE_TYPE = "-"
@@ -124,10 +123,6 @@ class HeteroGraph:
         """``edge_array`` as (u, v) tuples of Python ints, built on first read."""
         return tuple(map(tuple, self.edge_array.tolist()))
 
-    @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {e: i for i, e in enumerate(self.edges)}
-
     def pair_edge_types(self, keys: np.ndarray) -> np.ndarray:
         """Edge type of each pair key ``u * n + v`` (u < v); -1 for a non-edge."""
         edge_keys, edge_types = self.sorted_edge_keys
@@ -136,13 +131,6 @@ class HeteroGraph:
         pos = np.searchsorted(edge_keys, keys)
         np.minimum(pos, len(edge_keys) - 1, out=pos)
         return np.where(edge_keys[pos] == keys, edge_types[pos], -1)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
-
-    def edge_type_of(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        return self.edge_types[self.edge_index[key]]
 
     def node_type_id(self, label: str) -> int:
         try:
@@ -371,110 +359,6 @@ def _validate_cut(node_count: int, s: Iterable[int]) -> frozenset:
     if not side or len(side) == node_count:
         raise DegenerateCutError("cut requires both sides nonempty")
     return side
-
-
-def weighted_cut(g: WeightedGraph, s: Iterable[int]):
-    """Total weight crossing the cut (s, complement)."""
-    side = _validate_cut(g.node_count, s)
-    return sum(w for (u, v), w in g.weights.items() if (u in side) != (v in side))
-
-
-def weighted_volume(g: WeightedGraph, s: Iterable[int]):
-    idx = sorted(set(s))
-    _check_node_ids(g.node_count, idx)
-    if not idx:
-        return 0
-    val = g.degrees[idx].sum()
-    return int(val) if g.degrees.dtype == np.int64 else float(val)
-
-
-def weighted_conductance(g: WeightedGraph, s: Iterable[int]) -> float:
-    """Cut weight over the smaller side's weighted volume.
-
-    Symmetric under complementing ``s``. A cut with an empty side raises
-    DegenerateCutError; zero minimum volume (an all-isolated side) raises
-    ZeroVolumeError rather than returning 0 or infinity.
-    """
-    side = _validate_cut(g.node_count, s)
-    vol_s = weighted_volume(g, side)
-    vol_rest = g.total_volume - vol_s
-    denom = min(vol_s, vol_rest)
-    if denom <= 0:
-        raise ZeroVolumeError("one side of the cut has zero weighted volume")
-    return weighted_cut(g, side) / denom
-
-
-# The exhaustive cut searches visit 2^(n-1) cuts.
-BRUTE_FORCE_MAX_CUT_NODES = 20
-
-
-def _check_cut_search_size(n: int) -> None:
-    if n > BRUTE_FORCE_MAX_CUT_NODES:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_CUT_NODES} nodes, got {n}")
-    if n < 2:
-        raise DegenerateCutError("graph too small to cut")
-
-
-def _min_conductance_cut(
-    deg: np.ndarray, cut_of: Callable[[int], int]
-) -> tuple[frozenset, Fraction]:
-    """Exact minimum of cut over smaller-side volume, by exhausting all cuts.
-
-    ``cut_of(bits)`` is the integer cut of the side whose members are the set
-    bits. Node n-1 stays on the complement side so each cut is seen once.
-    Cuts where one side has zero volume are excluded. Ties break toward the
-    cut whose smaller side is smallest, then lexicographically by membership.
-    """
-    n = len(deg)
-    total = int(deg.sum())
-    best: tuple[int, int, tuple[int, tuple[int, ...]]] | None = None
-    best_side: frozenset | None = None
-    for bits in range(1, 1 << (n - 1)):
-        vol = 0
-        members = []
-        b = bits
-        while b:
-            v = (b & -b).bit_length() - 1
-            vol += int(deg[v])
-            members.append(v)
-            b &= b - 1
-        minvol = min(vol, total - vol)
-        if minvol == 0:
-            continue
-        cut = cut_of(bits)
-        side = frozenset(members)
-        other = frozenset(range(n)) - side
-        canon_s = (len(side), tuple(sorted(side)))
-        canon_o = (len(other), tuple(sorted(other)))
-        canon = min(canon_s, canon_o)
-        # cut/minvol < best_cut/best_minvol, cross-multiplied to stay exact.
-        if best is None or (cut * best[1], canon) < (best[0] * minvol, best[2]):
-            best = (cut, minvol, canon)
-            best_side = side if canon == canon_s else other
-    if best is None:
-        raise ZeroVolumeError("every cut has a zero-volume side")
-    cut, minvol, _ = best
-    return best_side, Fraction(cut, minvol)
-
-
-def brute_force_min_weighted_conductance(g: WeightedGraph) -> tuple[frozenset, Fraction]:
-    """Exact minimum weighted conductance by exhausting all cuts.
-
-    Requires integer weights so the minimum is an exact Fraction. Cuts where
-    one side has zero volume are excluded. Ties break toward the cut whose
-    smaller side is smallest, then lexicographically by membership.
-    """
-    _check_cut_search_size(g.node_count)
-    if g.degrees.dtype != np.int64:
-        raise ValueError("exact brute force requires integer weights")
-    us, vs = g.pairs.astype(np.uint32).T
-    ws = g.pair_weights
-
-    def cut_of(bits: int) -> int:
-        sb = np.uint32(bits)
-        return int(ws[((sb >> us) & 1) != ((sb >> vs) & 1)].sum())
-
-    return _min_conductance_cut(g.degrees, cut_of)
 
 
 def _check_bijection(order: Sequence[int], n: int) -> None:

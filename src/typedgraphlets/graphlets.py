@@ -5,7 +5,7 @@ edge (needed for the classical spectral reduction and baselines). Instances
 are always induced occurrences, deduplicated by node set. The fast
 enumerator reads only the graph's CSR form and sorted edge keys; its
 independent oracles, an O(n^4) subset scan and one-occurrence typing over
-``has_edge``, live in ``oracles``.
+a dict of the edges, live in ``oracles``.
 
 Every query reads one occurrence table per (graph, skeleton, typing mode):
 the occurrences as an integer array of node ids, enumerated once per graph,

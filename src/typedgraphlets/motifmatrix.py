@@ -22,16 +22,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from . import oracles
 from .errors import GraphletAbsentError, ZeroVolumeError
-from .graph import (
-    HeteroGraph,
-    WeightedGraph,
-    _check_cut_search_size,
-    _check_node_ids,
-    _min_conductance_cut,
-    _validate_cut,
-)
+from .graph import HeteroGraph, WeightedGraph, _validate_cut
 from .graphlets import SKELETONS, TypedGraphletSignature, _row_pair_keys, instances_matching
 
 
@@ -41,7 +33,8 @@ class MotifMatrix:
 
     ``_cut(side)`` is the number of occurrences with nodes on both sides of
     a boolean node mask. ``instances``, the occurrence rows, is computed on
-    first read; only the oracles need it.
+    first read; ``_motif_matrix`` reads it for the parts of a partition when
+    the signature has no closed form, and ``oracles.typed_degree`` reads it.
     """
 
     graph: HeteroGraph
@@ -168,38 +161,6 @@ def _wedge_matrix(g: HeteroGraph, sig: TypedGraphletSignature, inside: np.ndarra
                        lambda side: total - count(side) - count(~side))
 
 
-def _brute_force_weights(g: HeteroGraph, sig: TypedGraphletSignature) -> dict[tuple[int, int], int]:
-    """W rebuilt from the subset-scan oracle's occurrences that match ``sig``.
-
-    Guarded to the oracle's 64 nodes.
-    """
-    skel = sig.skeleton
-    weights: dict[tuple[int, int], int] = {}
-    for nodes in oracles.brute_force_instances(g, skel):
-        if sig.matches(oracles.signature_of(g, nodes, skel, sig.typing_mode)):
-            for e in oracles._induced_edges(g, nodes):
-                weights[e] = weights.get(e, 0) + 1
-    return weights
-
-
-def typed_degree(mm: MotifMatrix, v: int) -> int:
-    """Incident-edge count of ``v`` summed over occurrences.
-
-    Computed from the occurrence rows and ``has_edge``, not from W, so
-    volume identities against W stay a genuine cross-check. Ids outside the
-    graph raise ValueError.
-    """
-    g = mm.graph
-    _check_node_ids(g.node_count, [v])
-    rows = mm.instances[(mm.instances == v).any(axis=1)]
-    return sum(g.has_edge(v, u) for u in rows.ravel().tolist())
-
-
-def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
-    side = set(s)
-    return sum(typed_degree(mm, v) for v in side)
-
-
 def _side_mask(n: int, side: frozenset) -> np.ndarray:
     mask = np.zeros(n, dtype=bool)
     mask[np.fromiter(side, np.int64, len(side))] = True
@@ -255,32 +216,6 @@ def edge_expansion_measure(
     if denom == 0:
         raise ZeroVolumeError("one side of the cut touches no occurrence")
     return Fraction(_instance_cut(rows, side), denom)
-
-
-def brute_force_min_conductance(
-    g: HeteroGraph, sig: TypedGraphletSignature
-) -> tuple[frozenset, Fraction]:
-    """Exact minimum typed-graphlet conductance over all cuts.
-
-    Exhausts 2^(n-1) bipartitions, skipping cuts where a side has zero typed
-    volume (nodes outside every occurrence make such cuts degenerate, and
-    the minimum is taken over well-defined cuts only). Ties break toward the
-    smaller side, then lexicographic membership. Guarded to
-    ``BRUTE_FORCE_MAX_CUT_NODES`` nodes.
-    """
-    n = g.node_count
-    _check_cut_search_size(n)
-    mm = build_motif_matrix(g, sig)
-    if not len(mm.motif_graph.pairs):
-        raise GraphletAbsentError("typed graphlet has no instance in the graph")
-    masks = np.bitwise_or.reduce(np.uint64(1) << mm.instances.astype(np.uint64), axis=1)
-    full = np.uint64((1 << n) - 1)
-
-    def cut_of(bits: int) -> int:
-        sb = np.uint64(bits)
-        return int(np.count_nonzero(((masks & sb) != 0) & ((masks & ~sb & full) != 0)))
-
-    return _min_conductance_cut(mm.degrees, cut_of)
 
 
 def build_normalized_laplacian(

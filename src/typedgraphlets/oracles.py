@@ -1,29 +1,34 @@
-"""Independent oracles for occurrence enumeration and typing.
+"""Independent oracles: the one reference route for each fast path.
 
-The fast paths in ``graphlets`` read the graph's CSR form and sorted edge
-keys. These routes read it one node pair at a time through ``has_edge``
-and ``edge_type_of`` instead, and no query calls them; the tests,
-``cluster --oracle-check`` and ``motifmatrix``'s W rebuild do.
+The fast paths read the graph's CSR form, its sorted edge keys and W's pair
+arrays. These routes look node pairs up in a dict of the edges and scan every
+node subset or cut; the tests and ``cluster --oracle-check`` call them, no query does.
 
-| fast path                                   | oracle                     |
-|---------------------------------------------|----------------------------|
-| ``graphlets`` occurrence tables, every shape | ``brute_force_instances`` |
-| ``graphlets._signature_column`` typing      | ``signature_of``           |
+| fast path                                      | oracle                                   |
+|------------------------------------------------|------------------------------------------|
+| ``graphlets`` occurrence tables, every shape   | ``brute_force_instances``                |
+| ``graphlets._signature_column`` typing         | ``signature_of``                         |
+| W, by ``_row_matrix`` and by ``_wedge_matrix`` | ``_brute_force_weights``                 |
+| W degrees and volumes (``MotifMatrix.degrees``)| ``typed_degree``, ``typed_volume``       |
+| ``sweep_cut`` profile                          | ``weighted_cut`` over ``weighted_volume``|
+| ``cluster``: α against the optimum             | ``brute_force_min_conductance``          |
+| the sweep: φ against the optimum               | ``brute_force_min_weighted_conductance`` |
 """
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .graph import HeteroGraph
-from .graphlets import (
-    SKELETON_ORDER,
-    SKELETONS,
-    Skeleton,
-    TypedGraphletSignature,
-    resolve_skeleton,
-)
+import numpy as np
+
+from .errors import DegenerateCutError, GraphletAbsentError, ZeroVolumeError
+from .graph import HeteroGraph, WeightedGraph, _check_node_ids, _validate_cut
+from .graphlets import SKELETON_ORDER, SKELETONS, Skeleton, TypedGraphletSignature, resolve_skeleton
+from .motifmatrix import MotifMatrix
 
 BRUTE_FORCE_MAX_NODES = 64
 
@@ -33,9 +38,20 @@ _CLASSIFY = {
     (s.node_count, s.edge_count, s.degree_sequence): s.name for s in SKELETONS.values()
 }
 
+_EDGE_TYPES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _edge_types(g: HeteroGraph) -> dict[tuple[int, int], int]:
+    """The oracles' one edge lookup, (u, v) -> edge type for u < v, cached per graph."""
+    types = _EDGE_TYPES.get(g)
+    if types is None:
+        types = _EDGE_TYPES[g] = dict(zip(g.edges, g.edge_types))
+    return types
+
 
 def _induced_edges(g: HeteroGraph, nodes: Sequence[int]) -> list[tuple[int, int]]:
-    return [(u, v) for u, v in combinations(sorted(nodes), 2) if g.has_edge(u, v)]
+    types = _edge_types(g)
+    return [e for e in combinations(sorted(nodes), 2) if e in types]
 
 
 def signature_of(
@@ -46,28 +62,30 @@ def signature_of(
 ) -> TypedGraphletSignature:
     """Signature of the induced occurrence of ``skel`` on ``nodes``.
 
-    One occurrence at a time, from ``has_edge`` and ``edge_type_of``:
-    the oracle for the vectorised typing of ``_signature_column``.
+    One occurrence at a time, from the edge lookup: the oracle for the
+    vectorised typing of ``_signature_column``.
     """
     nodes = tuple(sorted(nodes))
+    types = _edge_types(g)
     edges = _induced_edges(g, nodes)
     ntypes = [g.node_types[v] for v in nodes]
-    etypes = [g.edge_type_of(u, v) for u, v in edges]
+    etypes = [types[e] for e in edges]
     if typing_mode == "multiset":
         return TypedGraphletSignature(skel, tuple(sorted(ntypes)), tuple(sorted(etypes)), "multiset")
     if typing_mode == "set":
         return TypedGraphletSignature(
             skel, tuple(sorted(set(ntypes))), tuple(sorted(set(etypes))), "set"
         )
-    # strict: canonical positional typing, minimised over all isomorphisms
-    # onto the canonical skeleton labelling.
+    # strict: canonical positional typing, minimised over all isomorphisms onto
+    # the canonical skeleton labelling; ``nodes`` is sorted, so min/max give keys.
     best: tuple[tuple[int, ...], tuple[int, ...]] | None = None
     k = skel.node_count
     for p in permutations(range(k)):
-        if not all(g.has_edge(nodes[p[u]], nodes[p[v]]) for u, v in skel.edges):
+        ek = tuple(types.get((nodes[min(p[u], p[v])], nodes[max(p[u], p[v])]))
+                   for u, v in skel.edges)
+        if None in ek:
             continue
         nk = tuple(g.node_types[nodes[p[i]]] for i in range(k))
-        ek = tuple(g.edge_type_of(nodes[p[u]], nodes[p[v]]) for u, v in skel.edges)
         if best is None or (nk, ek) < best:
             best = (nk, ek)
     if best is None:
@@ -111,3 +129,165 @@ def brute_force_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
 def brute_force_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
     """Oracle occurrence node sets for every catalog skeleton."""
     return _brute_force(g, (2, 3, 4))
+
+
+def _brute_force_matches(g: HeteroGraph, sig: TypedGraphletSignature) -> list[tuple[int, ...]]:
+    """The subset-scan oracle's occurrences whose signature matches ``sig``."""
+    skel = sig.skeleton
+    return [nodes for nodes in brute_force_instances(g, skel)
+            if sig.matches(signature_of(g, nodes, skel, sig.typing_mode))]
+
+
+def _brute_force_weights(g: HeteroGraph, sig: TypedGraphletSignature) -> dict[tuple[int, int], int]:
+    """W rebuilt from the subset-scan oracle's occurrences that match ``sig`` (≤ 64 nodes)."""
+    return Counter(e for nodes in _brute_force_matches(g, sig) for e in _induced_edges(g, nodes))
+
+
+def typed_degree(mm: MotifMatrix, v: int) -> int:
+    """Incident-edge count of ``v`` summed over occurrences.
+
+    Computed from the occurrence rows and the edge lookup, not from W, so
+    volume identities against W stay a genuine cross-check. Ids outside the
+    graph raise ValueError.
+    """
+    g = mm.graph
+    _check_node_ids(g.node_count, [v])
+    types = _edge_types(g)
+    rows = mm.instances[(mm.instances == v).any(axis=1)]
+    return sum(((v, u) if v < u else (u, v)) in types for u in rows.ravel().tolist())
+
+
+def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
+    return sum(typed_degree(mm, v) for v in set(s))
+
+
+def weighted_cut(g: WeightedGraph, s: Iterable[int]):
+    """Total weight crossing the cut (s, complement)."""
+    side = _validate_cut(g.node_count, s)
+    return sum(w for (u, v), w in g.weights.items() if (u in side) != (v in side))
+
+
+def weighted_volume(g: WeightedGraph, s: Iterable[int]):
+    idx = sorted(set(s))
+    _check_node_ids(g.node_count, idx)
+    if not idx:
+        return 0
+    val = g.degrees[idx].sum()
+    return int(val) if g.degrees.dtype == np.int64 else float(val)
+
+
+def weighted_conductance(g: WeightedGraph, s: Iterable[int]) -> float:
+    """Cut weight over the smaller side's weighted volume.
+
+    Symmetric under complementing ``s``. A cut with an empty side raises
+    DegenerateCutError; zero minimum volume (an all-isolated side) raises
+    ZeroVolumeError rather than returning 0 or infinity.
+    """
+    side = _validate_cut(g.node_count, s)
+    vol_s = weighted_volume(g, side)
+    vol_rest = g.total_volume - vol_s
+    denom = min(vol_s, vol_rest)
+    if denom <= 0:
+        raise ZeroVolumeError("one side of the cut has zero weighted volume")
+    return weighted_cut(g, side) / denom
+
+
+# The exhaustive cut searches visit 2^(n-1) cuts.
+BRUTE_FORCE_MAX_CUT_NODES = 20
+
+
+def _check_cut_search_size(n: int) -> None:
+    if n > BRUTE_FORCE_MAX_CUT_NODES:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_CUT_NODES} nodes, got {n}")
+    if n < 2:
+        raise DegenerateCutError("graph too small to cut")
+
+
+def _min_conductance_cut(
+    deg: np.ndarray, cut_of: Callable[[int], int]
+) -> tuple[frozenset, Fraction]:
+    """Exact minimum of cut over smaller-side volume, by exhausting all cuts.
+
+    ``cut_of(bits)`` is the integer cut of the side whose members are the set
+    bits. Node n-1 stays on the complement side so each cut is seen once.
+    Cuts where one side has zero volume are excluded. Ties break toward the
+    cut whose smaller side is smallest, then lexicographically by membership.
+    """
+    n = len(deg)
+    total = int(deg.sum())
+    best: tuple[int, int, tuple[int, tuple[int, ...]]] | None = None
+    best_side: frozenset | None = None
+    for bits in range(1, 1 << (n - 1)):
+        vol = 0
+        members = []
+        b = bits
+        while b:
+            v = (b & -b).bit_length() - 1
+            vol += int(deg[v])
+            members.append(v)
+            b &= b - 1
+        minvol = min(vol, total - vol)
+        if minvol == 0:
+            continue
+        cut = cut_of(bits)
+        side = frozenset(members)
+        other = frozenset(range(n)) - side
+        canon_s = (len(side), tuple(sorted(side)))
+        canon_o = (len(other), tuple(sorted(other)))
+        canon = min(canon_s, canon_o)
+        # cut/minvol < best_cut/best_minvol, cross-multiplied to stay exact.
+        if best is None or (cut * best[1], canon) < (best[0] * minvol, best[2]):
+            best = (cut, minvol, canon)
+            best_side = side if canon == canon_s else other
+    if best is None:
+        raise ZeroVolumeError("every cut has a zero-volume side")
+    cut, minvol, _ = best
+    return best_side, Fraction(cut, minvol)
+
+
+def brute_force_min_weighted_conductance(g: WeightedGraph) -> tuple[frozenset, Fraction]:
+    """Exact minimum weighted conductance by exhausting all cuts.
+
+    Requires integer weights so the minimum is an exact Fraction. Cuts where
+    one side has zero volume are excluded. Ties break toward the cut whose
+    smaller side is smallest, then lexicographically by membership.
+    """
+    _check_cut_search_size(g.node_count)
+    if g.degrees.dtype != np.int64:
+        raise ValueError("exact brute force requires integer weights")
+    us, vs = g.pairs.astype(np.uint32).T
+    ws = g.pair_weights
+
+    def cut_of(bits: int) -> int:
+        sb = np.uint32(bits)
+        return int(ws[((sb >> us) & 1) != ((sb >> vs) & 1)].sum())
+
+    return _min_conductance_cut(g.degrees, cut_of)
+
+
+def brute_force_min_conductance(
+    g: HeteroGraph, sig: TypedGraphletSignature
+) -> tuple[frozenset, Fraction]:
+    """Exact minimum typed-graphlet conductance over all cuts.
+
+    Exhausts 2^(n-1) bipartitions, skipping cuts where a side has zero typed
+    volume (nodes outside every occurrence make such cuts degenerate, and
+    the minimum is taken over well-defined cuts only). Ties break toward the
+    smaller side, then lexicographic membership. Volumes and cuts come from
+    the subset scan's matching occurrences, never from a fast route. Guarded
+    to ``BRUTE_FORCE_MAX_CUT_NODES`` nodes.
+    """
+    n = g.node_count
+    _check_cut_search_size(n)
+    weights = _brute_force_weights(g, sig)
+    if not weights:
+        raise GraphletAbsentError("typed graphlet has no instance in the graph")
+    rows = np.array(_brute_force_matches(g, sig), dtype=np.uint64)
+    masks = np.bitwise_or.reduce(np.uint64(1) << rows, axis=1)
+    full = np.uint64((1 << n) - 1)
+
+    def cut_of(bits: int) -> int:
+        sb = np.uint64(bits)
+        return int(np.count_nonzero(((masks & sb) != 0) & ((masks & ~sb & full) != 0)))
+
+    return _min_conductance_cut(WeightedGraph(n, weights).degrees, cut_of)

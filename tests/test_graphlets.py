@@ -1,4 +1,7 @@
+import ast
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,8 @@ from typedgraphlets import (
     spectral_embedding,
     spectral_ordering,
 )
-from typedgraphlets import HeteroGraph, graphlets, oracles
+import typedgraphlets
+from typedgraphlets import graphlets, oracles
 from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _signature_column
 
 from conftest import (
@@ -148,6 +152,7 @@ def test_occurrence_tables_are_read_only_int32_rows_in_oracle_order(edges, n):
 
 def test_instance_edges_are_graph_edges():
     g = random_graph(3, 12, 0.35)
+    edge_types = oracles._edge_types(g)
     for name in SKELETONS:
         for nodes in enumerate_instances(g, name):
             skel = SKELETONS[name]
@@ -155,10 +160,10 @@ def test_instance_edges_are_graph_edges():
                 (u, v)
                 for i, u in enumerate(nodes)
                 for v in nodes[i + 1:]
-                if g.has_edge(u, v)
+                if (u, v) in edge_types or (v, u) in edge_types
             ]
             assert len(induced) == skel.edge_count
-            assert all(e in g.edge_index for e in induced)
+            assert all(e in edge_types for e in induced)
 
 
 def test_brute_force_empty_graph_and_guard():
@@ -451,10 +456,10 @@ def test_no_query_calls_the_signature_oracle(monkeypatch):
 
 
 def test_no_query_reads_the_oracle_edge_index(monkeypatch):
-    def refuse(self):
-        raise AssertionError("edge_index read outside the oracles")
+    def refuse(g):
+        raise AssertionError("edge lookup read outside the oracles")
 
-    monkeypatch.setattr(HeteroGraph, "edge_index", property(refuse))
+    monkeypatch.setattr(oracles, "_edge_types", refuse)
     g = random_graph(13, 14, 0.4, n_type_count=2, e_type_count=2)
     for mode in ("multiset", "set", "strict"):
         assert census(g, typing_mode=mode)
@@ -463,8 +468,76 @@ def test_no_query_reads_the_oracle_edge_index(monkeypatch):
     assert build_motif_matrix(g, sig).weights
     assert cluster(g, TypedGraphletSignature(SKELETONS["triangle"])).nodes
     assert enumerate_all_instances(g)["4-path"]
-    with pytest.raises(AssertionError, match="edge_index"):
-        g.has_edge(0, 1)
+    with pytest.raises(AssertionError, match="edge lookup"):
+        oracles.classify_induced(g, (0, 1, 2))
+
+
+def _imports_oracles(tree: ast.AST) -> bool:
+    """Whether a module's syntax tree imports ``oracles`` in any form."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Call) and node.args
+              and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)
+              and getattr(node.func, "attr", getattr(node.func, "id", None))
+              in ("import_module", "__import__")):
+            modules = [node.args[0].value]
+        else:
+            continue
+        if any("oracles" in name.split(".") for name in modules):
+            return True
+    return False
+
+
+def test_only_the_cli_and_the_package_import_the_oracles():
+    # The fast modules never reach the oracles; only ``--oracle-check`` and
+    # the re-exports do.
+    package = Path(graphlets.__file__).parent
+    importers = {path.name for path in sorted(package.glob("*.py"))
+                 if _imports_oracles(ast.parse(path.read_text(encoding="utf-8")))}
+    assert importers == {"cli.py", "__init__.py"}
+    for source in ("from . import oracles", "from .oracles import signature_of",
+                   "from typedgraphlets import graph, oracles as o",
+                   "from typedgraphlets.oracles import _edge_types",
+                   "import typedgraphlets.oracles", "import typedgraphlets.oracles as o",
+                   "def f():\n    from .oracles import typed_degree",
+                   "importlib.import_module('.oracles', __package__)",
+                   "__import__('typedgraphlets.oracles')"):
+        assert _imports_oracles(ast.parse(source)), source
+    for source in ("from . import graphlets", "import typedgraphlets.graph",
+                   "name = 'oracles'", "from .graphlets import census"):
+        assert not _imports_oracles(ast.parse(source)), source
+
+
+PUBLIC_NAMES = (
+    "ClusterResult", "DegenerateCutError", "EDGE_OPERATORS", "EdgeDataset",
+    "EdgeListFormatError", "EigenConvergenceError", "EigenPair", "GraphletAbsentError",
+    "HeteroGraph", "LinkPredResult", "MetricsReport", "MotifMatrix", "MotifRank",
+    "NormalizedLaplacian", "OrderingResult", "PartitionResult", "RankResult", "SKELETONS",
+    "SKELETON_ORDER", "Skeleton", "SweepResult", "TypedGraphletSignature", "UnknownTypeError",
+    "WeightedGraph", "ZeroVolumeError", "brute_force_all_instances", "brute_force_instances",
+    "brute_force_min_conductance", "brute_force_min_weighted_conductance", "build_motif_matrix",
+    "build_normalized_laplacian", "census", "cluster", "compressed_size_estimate",
+    "compute_metrics", "connected_components", "edge_embed", "edge_expansion_measure",
+    "enumerate_all_instances", "enumerate_instances", "external_conductance",
+    "format_signature", "instances_matching", "inverse_permutation", "link_prediction_eval",
+    "load_typed_edge_list", "normalized_laplacian", "parse_signature_spec", "permute_graph",
+    "planted_partition", "predict_scores", "rank_typed_graphlets", "read_typed_edge_list",
+    "recursive_bipartition", "resolve_skeleton", "signature_of", "smallest_eigenpairs",
+    "spectral_embedding", "spectral_ordering", "split_edges", "summarize_trials", "sweep_cut",
+    "train_linear_classifier", "typed_conductance", "typed_cut", "typed_degree", "typed_volume",
+    "weighted_conductance", "weighted_cut", "weighted_volume",
+)
+
+
+def test_public_names_of_the_package_are_pinned():
+    # Moving a function between modules must keep ``from typedgraphlets import
+    # name`` working for every caller.
+    names = sorted(name for name, value in vars(typedgraphlets).items()
+                   if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert names == sorted(PUBLIC_NAMES)
 
 
 def test_untyped_wedge_queries_enumerate_no_wedge(monkeypatch):

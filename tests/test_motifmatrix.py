@@ -32,6 +32,7 @@ from typedgraphlets import (
     weighted_cut,
     weighted_volume,
 )
+from typedgraphlets import graphlets, motifmatrix
 from typedgraphlets.graphlets import _TABLES, instances_matching
 from typedgraphlets.oracles import _induced_edges
 from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
@@ -214,6 +215,25 @@ def test_brute_force_min_conductance_examples():
     k3 = make_graph(3, [(0, 1), (0, 2), (1, 2)])
     _, phi_k3 = brute_force_min_conductance(k3, tri_sig())
     assert phi_k3 == Fraction(1, 2)
+
+
+def test_brute_force_min_conductance_reads_no_fast_route(monkeypatch):
+    # Volumes and cut counts come from the subset scan, so the search stays
+    # an independent check of W, its degrees and the wedge closed form.
+    def refuse(*args, **kwargs):
+        raise AssertionError("fast route read by the cut oracle")
+
+    cases = [(barbell, tri_sig),
+             (lambda: cycle_umum()[0], lambda: cycle_umum()[1]),
+             (lambda: random_graph(11, 12, 0.3),
+              lambda: TypedGraphletSignature(SKELETONS["wedge"]))]
+    want = [brute_force_min_conductance(graph(), sig()) for graph, sig in cases]
+    monkeypatch.setattr(graphlets, "_occurrence_rows", refuse)
+    monkeypatch.setattr(motifmatrix, "build_motif_matrix", refuse)
+    for (graph, sig), (side, phi) in zip(cases, want):
+        assert brute_force_min_conductance(graph(), sig()) == (side, phi)
+        assert isinstance(phi, Fraction)
+    assert want[0][1] == 0 and want[1] == (frozenset({0, 1}), Fraction(1, 4))
 
 
 def test_brute_force_guard_and_absent():
