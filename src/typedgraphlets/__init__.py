@@ -30,9 +30,7 @@ from .graphlets import (
     census,
     enumerate_all_instances,
     enumerate_instances,
-    format_signature,
     instances_matching,
-    parse_signature_spec,
     resolve_skeleton,
 )
 from .motifmatrix import (
@@ -89,5 +87,6 @@ from .evaluation import (
     summarize_trials,
     train_linear_classifier,
 )
+from .cli import format_signature, parse_signature_spec
 
 __version__ = "0.1.0"

@@ -3,7 +3,9 @@
 Every command reads one typed edge-list file, writes its artifacts under
 ``--output-dir``, and exits with a code that identifies the failure family:
 0 success, 1 other error, 2 usage, 3 input parse error, 4 absent graphlet,
-5 eigensolver non-convergence.
+5 eigensolver non-convergence. The signature text the commands read and
+write (``skeleton:typeA,typeB,...`` in, ``skel[typeA,...]`` out) is parsed
+and rendered here.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ from .evaluation import (
 )
 from .graph import HeteroGraph, read_typed_edge_list
 from .graphlets import (
+    TypedGraphletSignature,
+    _automorphism_perms,
     census,
     enumerate_instances,
-    format_signature,
-    parse_signature_spec,
+    resolve_skeleton,
 )
 from .motifmatrix import build_motif_matrix
 from .oracles import _brute_force_weights, brute_force_instances
@@ -52,6 +55,74 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_ABSENT = 4
 EXIT_NO_CONVERGENCE = 5
+
+
+def parse_signature_spec(
+    g: HeteroGraph, spec: str, typing_mode: str = "multiset"
+) -> TypedGraphletSignature:
+    """Parse ``skeleton`` or ``skeleton:typeA,typeB,...`` against a graph.
+
+    With no type list the signature is an untyped wildcard. The skeleton and
+    type labels must exist (UnknownTypeError otherwise), and the list length
+    must match the skeleton's node count. Edge types are left unconstrained
+    (single-edge-type inputs make them redundant anyway).
+    """
+    name, _, typepart = spec.partition(":")
+    name = name.strip()
+    try:
+        skel = resolve_skeleton(name)
+    except KeyError:
+        raise UnknownTypeError(f"signature '{spec}': unknown skeleton '{name}'") from None
+    if not typepart:
+        return TypedGraphletSignature(skel, None, None, typing_mode)
+    labels = [t.strip() for t in typepart.split(",") if t.strip()]
+    if len(labels) != skel.node_count:
+        raise UnknownTypeError(
+            f"signature '{spec}': expected {skel.node_count} node types, got {len(labels)}"
+        )
+    ids = []
+    for label in labels:
+        try:
+            ids.append(g.node_type_id(label))
+        except KeyError:
+            raise UnknownTypeError(
+                f"signature '{spec}': unknown node type '{label}'"
+            ) from None
+    if typing_mode == "strict":
+        # Positional specs canonicalise over skeleton automorphisms so that
+        # equivalent orientations of the same typed shape match each other.
+        autos = _automorphism_perms(skel)
+        node_types = min(
+            tuple(ids[a[i]] for i in range(skel.node_count)) for a in autos
+        )
+    elif typing_mode == "set":
+        node_types = tuple(sorted(set(ids)))
+    else:
+        node_types = tuple(sorted(ids))
+    return TypedGraphletSignature(skel, node_types, None, typing_mode)
+
+
+def format_signature(sig: TypedGraphletSignature, g: HeteroGraph) -> str:
+    """Render a signature as ``skel[typeA,typeB,...]`` with readable labels.
+
+    Multiset and set modes list node types sorted by label; strict mode keeps
+    canonical position order. Edge types are appended in a second bracket
+    only when the graph has more than one edge type.
+    """
+    if sig.node_types is None and sig.edge_types is None:
+        return sig.skeleton.name
+    text = sig.skeleton.name
+    if sig.node_types is not None:
+        labels = [g.node_type_names[t] for t in sig.node_types]
+        if sig.typing_mode != "strict":
+            labels.sort()
+        text += "[" + ",".join(labels) + "]"
+    if sig.edge_types is not None and g.edge_type_count > 1:
+        elabels = [g.edge_type_names[t] for t in sig.edge_types]
+        if sig.typing_mode != "strict":
+            elabels.sort()
+        text += "[" + ",".join(elabels) + "]"
+    return text
 
 
 def _fmt(x) -> str:

@@ -22,7 +22,6 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import UnknownTypeError
 from .graph import HeteroGraph
 
 
@@ -132,25 +131,6 @@ def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _unique_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """The distinct rows of ``rows`` (ids below ``n``), in lexicographic order.
-
-    One lexsort over the rows' column pairs as keys ``u * n + v``, which
-    stay exact in int64 for any graph of fewer than 3 * 10^9 nodes.
-    """
-    keys = [rows[:, i].astype(np.int64) for i in range(0, rows.shape[1], 2)]
-    for i, key in enumerate(keys[: rows.shape[1] // 2]):
-        key *= n
-        key += rows[:, 2 * i + 1]
-    order = np.lexsort(keys[::-1])
-    new = np.zeros(len(rows), dtype=bool)
-    new[:1] = True
-    while keys:
-        key = keys.pop()[order]
-        new[1:] |= key[1:] != key[:-1]
-    return rows[order[new]]
-
-
 def _edges(g: HeteroGraph) -> np.ndarray:
     """Edges as rows (u, v), u < v, in lexicographic order."""
     return np.column_stack(np.divmod(g.sorted_edge_keys[0], g.node_count))
@@ -183,23 +163,40 @@ def _pairs_within(indptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _centred_wedges(g: HeteroGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Induced wedges as (centre, low end, high end), ordered by centre, then ends.
+    """Induced wedges as (centre, CSR position of the low end, of the high end).
 
     Each centre meets each pair of its ascending CSR neighbours once; a pair
-    is kept when its two ends are not adjacent.
+    is kept when its two ends are not adjacent. Wedges are ordered by
+    centre, then ends.
     """
     indptr, indices = g.neighbours
     first, second = _pairs_within(indptr)
     open_ = g.pair_edge_types(indices[first] * g.node_count + indices[second]) < 0
     first, second = first[open_], second[open_]
-    return np.repeat(np.arange(g.node_count), g.degrees)[first], indices[first], indices[second]
+    return np.repeat(np.arange(g.node_count), g.degrees)[first], first, second
+
+
+def _ordered(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rows of ids below ``n`` as ascending int32 rows, in lexicographic order.
+
+    A row of k ids reads as one base-n number when n^k fits in int64, and
+    one argsort of those keys orders the rows; larger graphs take a lexsort.
+    """
+    rows = rows.astype(np.int32)
+    rows.sort(axis=1)
+    if n ** rows.shape[1] > 2 ** 63:
+        return rows[np.lexsort(rows.T[::-1])]
+    keys = rows[:, 0].astype(np.int64)
+    for column in rows.T[1:]:
+        keys = keys * n + column
+    return rows[np.argsort(keys)]
 
 
 def _wedges(g: HeteroGraph) -> np.ndarray:
-    """Induced wedges as ascending rows, in lexicographic order."""
-    rows = np.column_stack(_centred_wedges(g))
-    rows.sort(axis=1)
-    return _unique_rows(rows, g.node_count)
+    """Induced wedges as ascending int32 rows, in lexicographic order."""
+    centre, first, second = _centred_wedges(g)
+    indices = g.neighbours[1]
+    return _ordered(np.column_stack([centre, indices[first], indices[second]]), g.node_count)
 
 
 def _four_cycles(g: HeteroGraph) -> np.ndarray:
@@ -211,7 +208,9 @@ def _four_cycles(g: HeteroGraph) -> np.ndarray:
     node lists it.
     """
     n = g.node_count
+    indices = g.neighbours[1]
     centre, low, high = _centred_wedges(g)
+    low, high = indices[low], indices[high]
     keys = low * n + high
     order = np.argsort(keys, kind="stable")
     centre, low, high, keys = centre[order], low[order], high[order], keys[order]
@@ -221,31 +220,77 @@ def _four_cycles(g: HeteroGraph) -> np.ndarray:
     first, second = first[smallest], second[smallest]
     apart = g.pair_edge_types(centre[first] * n + centre[second]) < 0
     first, second = first[apart], second[apart]
-    rows = np.column_stack([low[first], high[first], centre[first], centre[second]])
-    rows = rows.astype(np.int32)
-    rows.sort(axis=1)
-    return rows[np.lexsort(rows.T[::-1])]
+    return _ordered(np.column_stack([low[first], high[first], centre[first], centre[second]]), n)
 
 
-# (edge count, max degree) tells the connected 4-node shapes apart; each
-# node's pairs are its columns among ``combinations(range(4), 2)``.
-_FOUR_NODE_SHAPES = {(s.edge_count, s.degree_sequence[-1]): s.name
-                     for s in SKELETONS.values() if s.node_count == 4}
-_NODE_PAIRS = [[i for i, pair in enumerate(combinations(range(4), 2)) if v in pair]
-               for v in range(4)]
-# The 4-node shapes that hold a triangle: a triangle plus one neighbour of it.
-_TRIANGLE_SHAPES = ("tailed-triangle", "diamond", "4-clique")
+def _pair_keys(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """Keys ``min * n + max`` of the node pairs (u, v)."""
+    return np.minimum(u, v) * n + np.maximum(u, v)
 
 
-def _grown_rows(g: HeteroGraph, seeds: np.ndarray) -> dict[str, np.ndarray]:
-    """The 4-node sets of an int32 seed row plus one neighbour, keyed by skeleton name.
+def _four_paths(g: HeteroGraph) -> np.ndarray:
+    """Induced 4-paths a-b-c-d as ascending int32 rows, in lexicographic order.
 
-    Every seed grows by each neighbour of each of its nodes; a set reached
-    from several seeds collapses to one ascending row, and the shape follows
-    from the row's edge count and maximum degree. Rows are in lexicographic
-    order.
+    Each edge (b, c), b < c, is the middle edge of the paths that join a
+    neighbour a of b to a neighbour d of c: a is not c nor adjacent to it,
+    d is not b nor adjacent to it, and a and d are not adjacent. Then a is
+    not d either, since d is adjacent to c. Every induced 4-path has one
+    middle edge, so it comes out once.
+    """
+    n = g.node_count
+    indptr, indices = g.neighbours
+    b, c = _edges(g).T
+
+    def ends(near: np.ndarray, far: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(edge, x) for each neighbour x of ``near`` that is not ``far`` nor adjacent to it."""
+        count = g.degrees[near]
+        edge = np.repeat(np.arange(len(near)), count)
+        x = indices[_segments(indptr[near], count)]
+        keep = (x != far[edge]) & (g.pair_edge_types(_pair_keys(x, far[edge], n)) < 0)
+        return edge[keep], x[keep]
+
+    edge, a = ends(b, c)
+    right_edge, d = ends(c, b)
+    count = np.bincount(right_edge, minlength=len(b))
+    start = np.cumsum(count) - count
+    d = d[_segments(start[edge], count[edge])]
+    edge, a = np.repeat(edge, count[edge]), np.repeat(a, count[edge])
+    keep = g.pair_edge_types(_pair_keys(a, d, n)) < 0
+    edge = edge[keep]
+    return _ordered(np.column_stack([a[keep], b[edge], c[edge], d[keep]]), n)
+
+
+def _four_stars(g: HeteroGraph) -> np.ndarray:
+    """Induced 4-stars as ascending int32 rows, in lexicographic order.
+
+    Each induced wedge (centre c, ends a < b) grows by every neighbour
+    x > b of c that is adjacent to neither end, so a star comes out once,
+    from the wedge on its two smallest leaves.
+    """
+    n = g.node_count
+    indptr, indices = g.neighbours
+    centre, first, second = _centred_wedges(g)
+    count = indptr[centre + 1] - second - 1
+    x = indices[_segments(second + 1, count)]
+    a, b = np.repeat(indices[first], count), np.repeat(indices[second], count)
+    keep = (g.pair_edge_types(a * n + x) < 0) & (g.pair_edge_types(b * n + x) < 0)
+    return _ordered(np.column_stack([np.repeat(centre, count)[keep], a[keep], b[keep], x[keep]]), n)
+
+
+# A triangle plus one neighbour of it has 4, 5 or 6 edges.
+_TRIANGLE_SHAPES = {4: "tailed-triangle", 5: "diamond", 6: "4-clique"}
+
+
+def _triangle_shape_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
+    """Induced tailed triangles, diamonds and 4-cliques, keyed by skeleton name.
+
+    Every triangle grows by each neighbour of each of its nodes; a set
+    reached from several triangles collapses to one ascending int32 row,
+    and the shape follows from the row's edge count. Rows are in
+    lexicographic order.
     """
     indptr, indices = g.neighbours
+    seeds = _triangles(g).astype(np.int32)
     counts = g.degrees[seeds]
     quads = np.empty((counts.sum(), 4), dtype=np.int32)
     at = 0
@@ -256,34 +301,14 @@ def _grown_rows(g: HeteroGraph, seeds: np.ndarray) -> dict[str, np.ndarray]:
         at = grown.stop
     quads.sort(axis=1)
     # A neighbour that is already in its seed repeats a node.
-    quads = quads[(quads[:, 1:] != quads[:, :-1]).all(axis=1)]
-    quads = _unique_rows(quads, g.node_count)
-    linked = np.column_stack([g.pair_edge_types(quads[:, a].astype(np.int64) * g.node_count
-                                                + quads[:, b]) >= 0
-                              for a, b in combinations(range(4), 2)])
-    edges = linked.sum(axis=1)
-    max_deg = linked[:, _NODE_PAIRS].sum(axis=2).max(axis=1)
-    return {name: quads[(edges == m) & (max_deg == d)]
-            for (m, d), name in _FOUR_NODE_SHAPES.items()}
-
-
-def _four_node_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
-    """All induced 4-node occurrences as ascending rows, keyed by skeleton name.
-
-    Every connected 4-node graph has a non-cut vertex, so each occurrence is
-    a triangle or an induced wedge plus one neighbour of it.
-    """
-    return _grown_rows(g, np.vstack([_triangles(g), _wedges(g)]).astype(np.int32))
-
-
-def _triangle_shape_rows(g: HeteroGraph) -> dict[str, np.ndarray]:
-    """Induced tailed triangles, diamonds and 4-cliques, from the triangles alone.
-
-    The neighbour a triangle grows by touches one, two or three of its
-    nodes, which makes a tailed triangle, a diamond or a 4-clique.
-    """
-    grown = _grown_rows(g, _triangles(g).astype(np.int32))
-    return {name: grown[name] for name in _TRIANGLE_SHAPES}
+    quads = _ordered(quads[(quads[:, 1:] != quads[:, :-1]).all(axis=1)], g.node_count)
+    new = np.ones(len(quads), dtype=bool)
+    new[1:] = (quads[1:] != quads[:-1]).any(axis=1)
+    quads = quads[new]
+    ends = quads.astype(np.int64)
+    edges = sum(g.pair_edge_types(ends[:, a] * g.node_count + ends[:, b]) >= 0
+                for a, b in combinations(range(4), 2))
+    return {name: quads[edges == m] for m, name in _TRIANGLE_SHAPES.items()}
 
 
 def _tuples(g: HeteroGraph, rows: np.ndarray) -> list[tuple[int, ...]]:
@@ -319,27 +344,25 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def _occurrence_rows(g: HeteroGraph, skel: Skeleton) -> np.ndarray:
     """Read-only (occurrences, k) node ids of ``skel``, rows as enumerated.
 
-    A 4-node request takes the route of its shape: the 4-cycle pairs
-    wedges, a shape holding a triangle grows the triangles (which fills all
-    three such tables), and the 4-path and 4-star run the full expansion,
-    which fills every 4-node table still missing.
+    A 4-node request takes the route of its shape: the 4-path, the 4-star
+    and the 4-cycle each have their own, and a shape holding a triangle
+    grows the triangles, which fills all three such tables.
     """
     tables = _TABLES.setdefault(g, {})
     if skel.name not in tables:
-        if skel.name == "4-cycle":
-            found = {"4-cycle": _four_cycles(g)}
-        elif skel.name in _TRIANGLE_SHAPES:
+        if skel.name in _TRIANGLE_SHAPES.values():
             found = _triangle_shape_rows(g)
         elif skel.node_count == 4:
-            found = _four_node_rows(g)
+            # Looked up per call, so a test that patches one route reaches every caller.
+            route = {"4-path": _four_paths, "4-star": _four_stars, "4-cycle": _four_cycles}
+            found = {skel.name: route[skel.name](g)}
         else:
             nodes, k = enumerate_instances(g, skel), skel.node_count
             found = {skel.name: np.fromiter(chain.from_iterable(nodes), np.int32,
                                             k * len(nodes)).reshape(-1, k)}
         for name, rows in found.items():
-            if name not in tables:
-                rows.flags.writeable = False
-                tables[name] = rows
+            rows.flags.writeable = False
+            tables[name] = rows
     return tables[skel.name]
 
 
@@ -428,16 +451,31 @@ def _signature_column(
     return tables[key]
 
 
+def _rows_matching(
+    g: HeteroGraph, wanted: list[TypedGraphletSignature]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The occurrence rows of each signature in ``wanted``, and whose they are.
+
+    Every signature in ``wanted`` has one skeleton and typing mode. The rows
+    of ``wanted[j]`` come out in table order, after those of ``wanted[j - 1]``,
+    beside their owner j; the cached signature column tells which rows
+    match. One wildcard alone takes the table as it is, untyped.
+    """
+    rows = _occurrence_rows(g, wanted[0].skeleton)
+    if len(wanted) == 1 and wanted[0].is_wildcard:
+        return rows, np.zeros(len(rows), dtype=np.int64)
+    ids, sigs = _signature_column(g, wanted[0].skeleton, wanted[0].typing_mode)
+    at = [np.flatnonzero(np.isin(ids, [i for i, s in enumerate(sigs) if w.matches(s)]))
+          for w in wanted]
+    return rows[np.concatenate(at)], np.repeat(np.arange(len(wanted)), [len(a) for a in at])
+
+
 def instances_matching(g: HeteroGraph, sig: TypedGraphletSignature) -> np.ndarray:
     """Rows of the occurrences whose signature matches ``sig``.
 
     A wildcard selects every row without typing any occurrence.
     """
-    rows = _occurrence_rows(g, sig.skeleton)
-    if sig.is_wildcard:
-        return rows
-    ids, sigs = _signature_column(g, sig.skeleton, sig.typing_mode)
-    return rows[np.isin(ids, [i for i, s in enumerate(sigs) if sig.matches(s)])]
+    return _rows_matching(g, [sig])[0]
 
 
 def census(
@@ -465,71 +503,3 @@ def census(
             key=lambda kv: (order[kv[0].skeleton.name], kv[0].node_types, kv[0].edge_types),
         )
     )
-
-
-def parse_signature_spec(
-    g: HeteroGraph, spec: str, typing_mode: str = "multiset"
-) -> TypedGraphletSignature:
-    """Parse ``skeleton`` or ``skeleton:typeA,typeB,...`` against a graph.
-
-    With no type list the signature is an untyped wildcard. The skeleton and
-    type labels must exist (UnknownTypeError otherwise), and the list length
-    must match the skeleton's node count. Edge types are left unconstrained
-    (single-edge-type inputs make them redundant anyway).
-    """
-    name, _, typepart = spec.partition(":")
-    name = name.strip()
-    try:
-        skel = resolve_skeleton(name)
-    except KeyError:
-        raise UnknownTypeError(f"signature '{spec}': unknown skeleton '{name}'") from None
-    if not typepart:
-        return TypedGraphletSignature(skel, None, None, typing_mode)
-    labels = [t.strip() for t in typepart.split(",") if t.strip()]
-    if len(labels) != skel.node_count:
-        raise UnknownTypeError(
-            f"signature '{spec}': expected {skel.node_count} node types, got {len(labels)}"
-        )
-    ids = []
-    for label in labels:
-        try:
-            ids.append(g.node_type_id(label))
-        except KeyError:
-            raise UnknownTypeError(
-                f"signature '{spec}': unknown node type '{label}'"
-            ) from None
-    if typing_mode == "strict":
-        # Positional specs canonicalise over skeleton automorphisms so that
-        # equivalent orientations of the same typed shape match each other.
-        autos = _automorphism_perms(skel)
-        node_types = min(
-            tuple(ids[a[i]] for i in range(skel.node_count)) for a in autos
-        )
-    elif typing_mode == "set":
-        node_types = tuple(sorted(set(ids)))
-    else:
-        node_types = tuple(sorted(ids))
-    return TypedGraphletSignature(skel, node_types, None, typing_mode)
-
-
-def format_signature(sig: TypedGraphletSignature, g: HeteroGraph) -> str:
-    """Render a signature as ``skel[typeA,typeB,...]`` with readable labels.
-
-    Multiset and set modes list node types sorted by label; strict mode keeps
-    canonical position order. Edge types are appended in a second bracket
-    only when the graph has more than one edge type.
-    """
-    if sig.node_types is None and sig.edge_types is None:
-        return sig.skeleton.name
-    text = sig.skeleton.name
-    if sig.node_types is not None:
-        labels = [g.node_type_names[t] for t in sig.node_types]
-        if sig.typing_mode != "strict":
-            labels.sort()
-        text += "[" + ",".join(labels) + "]"
-    if sig.edge_types is not None and g.edge_type_count > 1:
-        elabels = [g.edge_type_names[t] for t in sig.edge_types]
-        if sig.typing_mode != "strict":
-            elabels.sort()
-        text += "[" + ",".join(elabels) + "]"
-    return text

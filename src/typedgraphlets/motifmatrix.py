@@ -9,7 +9,8 @@ only conductances are ratios, returned as Fractions.
 
 Two routes fill a motif matrix: the untyped wedge has a closed form over
 edge keys, degrees and triangles; every other signature counts its
-occurrence rows.
+occurrence rows, and one pass of that count fills the Ws of several
+signatures of one skeleton at once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,13 @@ import scipy.sparse as sp
 
 from .errors import GraphletAbsentError, ZeroVolumeError
 from .graph import HeteroGraph, WeightedGraph, _validate_cut
-from .graphlets import SKELETONS, TypedGraphletSignature, _row_pair_keys, instances_matching
+from .graphlets import (
+    SKELETONS,
+    TypedGraphletSignature,
+    _row_pair_keys,
+    _rows_matching,
+    instances_matching,
+)
 
 
 @dataclass
@@ -34,7 +41,7 @@ class MotifMatrix:
     ``_cut(side)`` is the number of occurrences with nodes on both sides of
     a boolean node mask. ``instances``, the occurrence rows, is computed on
     first read; ``_motif_matrix`` reads it for the parts of a partition when
-    the signature has no closed form, and ``oracles.typed_degree`` reads it.
+    the signature has no closed form.
     """
 
     graph: HeteroGraph
@@ -110,17 +117,53 @@ def _closed_form(sig: TypedGraphletSignature) -> bool:
 
 
 def _row_matrix(g: HeteroGraph, sig: TypedGraphletSignature, rows: np.ndarray) -> MotifMatrix:
-    """W of the given occurrence rows of ``sig`` in ``g``.
+    """W of the given occurrence rows of ``sig`` in ``g``."""
+    (motif_graph,) = _row_graphs(g, rows, np.zeros(len(rows), dtype=np.int64), 1)
+    return MotifMatrix(g, sig, motif_graph, lambda: rows, lambda side: _instance_cut(rows, side))
 
-    Every node pair of an occurrence row that is a graph edge is an edge of
-    the induced occurrence; W counts those pairs by their ``i * n + j`` key.
+
+def _row_graphs(g: HeteroGraph, rows: np.ndarray, owner: np.ndarray,
+                count: int) -> list[WeightedGraph]:
+    """W of ``count`` signatures at once, where row i is an occurrence of signature ``owner[i]``.
+
+    The rows come grouped by owner, in ascending order. Every node pair of
+    an occurrence row that is a graph edge is an edge of the induced
+    occurrence; each W counts its rows' pairs by their ``i * n + j`` key.
+    The keys of all rows are made at once and looked up one pair column at
+    a time, which bounds the lookup's scratch memory to one column.
     """
     n = g.node_count
-    keys = _row_pair_keys(g, rows).ravel()
-    keys, counts = np.unique(keys[g.pair_edge_types(keys) >= 0], return_counts=True)
-    pairs = np.column_stack(np.divmod(keys, n))
-    return MotifMatrix(g, sig, WeightedGraph.from_pairs(n, pairs, counts.astype(np.int64)),
-                       lambda: rows, lambda side: _instance_cut(rows, side))
+    keys = _row_pair_keys(g, rows)
+    linked = np.column_stack([g.pair_edge_types(column) >= 0 for column in keys.T])
+    bounds = np.searchsorted(owner, np.arange(count + 1))
+    graphs = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        found, counts = np.unique(keys[lo:hi][linked[lo:hi]], return_counts=True)
+        graphs.append(WeightedGraph.from_pairs(n, np.column_stack(np.divmod(found, n)),
+                                               counts.astype(np.int64)))
+    return graphs
+
+
+def _motif_graphs(g: HeteroGraph, sigs: Sequence[TypedGraphletSignature]) -> list[WeightedGraph]:
+    """W of each signature, as ``build_motif_matrix`` gives it, in one pass per skeleton.
+
+    A wildcard wedge takes its closed form. The other signatures are grouped
+    by (skeleton, typing mode), and one ``_row_graphs`` call fills the Ws of
+    a group's distinct signatures.
+    """
+    graphs: list = [None] * len(sigs)
+    groups: dict[tuple, dict[TypedGraphletSignature, list[int]]] = {}
+    for i, sig in enumerate(sigs):
+        if _closed_form(sig):
+            graphs[i] = build_motif_matrix(g, sig).motif_graph
+        else:
+            groups.setdefault((sig.skeleton, sig.typing_mode), {}).setdefault(sig, []).append(i)
+    for group in groups.values():
+        rows, owner = _rows_matching(g, list(group))
+        for at, gH in zip(group.values(), _row_graphs(g, rows, owner, len(group))):
+            for i in at:
+                graphs[i] = gH
+    return graphs
 
 
 def _wedge_matrix(g: HeteroGraph, sig: TypedGraphletSignature, inside: np.ndarray) -> MotifMatrix:

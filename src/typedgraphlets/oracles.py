@@ -8,7 +8,7 @@ node subset or cut; the tests and ``cluster --oracle-check`` call them, no query
 |------------------------------------------------|------------------------------------------|
 | ``graphlets`` occurrence tables, every shape   | ``brute_force_instances``                |
 | ``graphlets._signature_column`` typing         | ``signature_of``                         |
-| W, by ``_row_matrix`` and by ``_wedge_matrix`` | ``_brute_force_weights``                 |
+| W, by ``_row_graphs`` and by ``_wedge_matrix`` | ``_brute_force_weights``                 |
 | W degrees and volumes (``MotifMatrix.degrees``)| ``typed_degree``, ``typed_volume``       |
 | ``sweep_cut`` profile                          | ``weighted_cut`` over ``weighted_volume``|
 | ``cluster``: α against the optimum             | ``brute_force_min_conductance``          |
@@ -146,19 +146,19 @@ def _brute_force_weights(g: HeteroGraph, sig: TypedGraphletSignature) -> dict[tu
 def typed_degree(mm: MotifMatrix, v: int) -> int:
     """Incident-edge count of ``v`` summed over occurrences.
 
-    Computed from the occurrence rows and the edge lookup, not from W, so
-    volume identities against W stay a genuine cross-check. Ids outside the
-    graph raise ValueError.
+    The occurrences are the subset scan's matches of ``mm.signature`` in
+    ``mm.graph`` (at most 64 nodes), not the fast rows behind W, so volume
+    identities against W stay a genuine cross-check. Ids outside the graph
+    raise ValueError.
     """
-    g = mm.graph
-    _check_node_ids(g.node_count, [v])
-    types = _edge_types(g)
-    rows = mm.instances[(mm.instances == v).any(axis=1)]
-    return sum(((v, u) if v < u else (u, v)) in types for u in rows.ravel().tolist())
+    return typed_volume(mm, [v])
 
 
 def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
-    return sum(typed_degree(mm, v) for v in set(s))
+    side = set(s)
+    _check_node_ids(mm.graph.node_count, side)
+    weights = _brute_force_weights(mm.graph, mm.signature)
+    return sum(w * ((u in side) + (v in side)) for (u, v), w in weights.items())
 
 
 def weighted_cut(g: WeightedGraph, s: Iterable[int]):

@@ -17,6 +17,7 @@ from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
     MotifMatrix,
     NormalizedLaplacian,
+    _motif_graphs,
     _motif_matrix,
     _typed_conductance,
     build_motif_matrix,
@@ -199,6 +200,33 @@ def _covered_components(gH: WeightedGraph) -> list[list[int]]:
     return [c.tolist() for c in np.split(members, np.cumsum(sizes[sizes >= 2]))[:-1]]
 
 
+def _largest_components(graphs: Sequence[WeightedGraph]) -> list[np.ndarray | None]:
+    """Nodes of the largest component of each graph, ascending; None for an empty graph.
+
+    One ``connected_components`` call labels the disjoint union of the
+    graphs, whose nodes are the covered (graph, node) pairs numbered densely
+    in that order, so memory follows the summed support. Labels follow each
+    component's smallest node, so of equally large components the one
+    holding the smallest node id wins, as in ``_covered_components`` order.
+    """
+    covered = [np.unique(gH.pairs) for gH in graphs]
+    start = np.cumsum([0] + [len(nodes) for nodes in covered])
+    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
+        lo + np.searchsorted(nodes, gH.pairs) for lo, nodes, gH in zip(start, covered, graphs)])
+    union = WeightedGraph.from_pairs(int(start[-1]), pairs, np.ones(len(pairs), dtype=np.int64))
+    labels = connected_components(union)[0]
+    largest: list[np.ndarray | None] = []
+    for lo, hi, nodes in zip(start[:-1], start[1:], covered):
+        if lo == hi:
+            largest.append(None)
+            continue
+        block = labels[lo:hi]
+        # A graph's smallest covered node holds the smallest of its labels.
+        best = block[0] + np.argmax(np.bincount(block - block[0]))
+        largest.append(nodes[block == best])
+    return largest
+
+
 def _beta_factor(lambda2: float, edge_count: int) -> float:
     if lambda2 <= 1e-14:
         return math.inf
@@ -369,20 +397,19 @@ def rank_typed_graphlets(
 
     The factor sqrt(8/lambda2) * |E(H)| favours small edge sets whose
     occurrences are well connected; lambda2 comes from the largest component
-    of each motif graph. Absent signatures are skipped with a note rather
-    than failing the whole ranking.
+    of each motif graph. The motif graphs are built in one pass per
+    skeleton and typing mode, and their components are labelled in one
+    pass. Absent signatures are skipped with a note rather than failing the
+    whole ranking.
     """
     ranked: list[MotifRank] = []
     skipped: list[TypedGraphletSignature] = []
-    for sig in sigs:
-        mm = build_motif_matrix(g, sig)
-        if not len(mm.motif_graph.pairs):
+    graphs = _motif_graphs(g, sigs)
+    for sig, gH, largest in zip(sigs, graphs, _largest_components(graphs)):
+        if largest is None:
             skipped.append(sig)
             continue
-        gH = mm.induced_graph()
-        comps = _covered_components(gH)
-        comps.sort(key=lambda c: (-len(c), c[0]))
-        lap = build_normalized_laplacian(gH, comps[0])
+        lap = build_normalized_laplacian(gH, largest)
         lam2 = smallest_eigenpairs(lap, 2)[1].value
         ranked.append(
             MotifRank(sig, lam2, sig.skeleton.edge_count, _beta_factor(lam2, sig.skeleton.edge_count))

@@ -57,8 +57,8 @@ def copy_graph(g):
 
 # The graphlets function that fills each 4-node table on a fresh graph.
 FOUR_NODE_ROUTES = {
-    "4-path": "_four_node_rows",
-    "4-star": "_four_node_rows",
+    "4-path": "_four_paths",
+    "4-star": "_four_stars",
     "4-cycle": "_four_cycles",
     "tailed-triangle": "_triangle_shape_rows",
     "diamond": "_triangle_shape_rows",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from typedgraphlets import (
+    SKELETON_ORDER,
     SKELETONS,
     TypedGraphletSignature,
     UnknownTypeError,
@@ -72,7 +73,9 @@ def test_catalog_automorphism_counts():
 def test_degree_sequences_are_distinct():
     keys = {(s.node_count, s.edge_count, s.degree_sequence) for s in SKELETONS.values()}
     assert len(keys) == len(SKELETONS)
-    assert len(graphlets._FOUR_NODE_SHAPES) == 6
+    # A triangle plus one neighbour: the shape follows from the edge count.
+    assert {m: SKELETONS[name].edge_count for m, name in graphlets._TRIANGLE_SHAPES.items()} == {
+        4: 4, 5: 5, 6: 6}
 
 
 def test_aliases():
@@ -360,8 +363,9 @@ def test_census_and_ranking_enumerate_each_skeleton_once(monkeypatch):
     table = census(g)
     rank_typed_graphlets(g, list(table))
     census(g, typing_mode="set")
-    # The 4-path comes first, so its full expansion fills every 4-node table.
-    assert calls == ["wedge", "triangle", "_four_node_rows"]
+    # Each 4-node shape runs its own route once; the triangle route fills three tables.
+    assert calls == ["wedge", "triangle", "_four_paths", "_four_stars", "_four_cycles",
+                     "_triangle_shape_rows"]
 
 
 def test_enumerate_instances_reads_the_four_node_table(monkeypatch):
@@ -392,15 +396,28 @@ def test_enumerate_instances_reads_the_four_node_table(monkeypatch):
     pytest.param(4, [(0, 2), (0, 3), (1, 2), (1, 3)], id="C4 whose smallest node is a centre"),
     pytest.param(9, [(2, 8), (8, 5), (5, 6), (6, 2), (0, 5), (1, 2), (1, 8)],
                  id="C4 and triangle among pendants"),
+    pytest.param(8, [(3, v) for v in (0, 1, 2, 4, 5, 6)], id="star with a hub of degree 6"),
+    pytest.param(5, [(0, 3), (3, 1), (1, 4), (4, 2)], id="5-node path"),
 ])
 def test_four_node_routes_equal_the_oracle_and_the_full_expansion(n, edges):
+    # The full expansion is gone; the name is kept, and the oracle is the one reference.
     g = make_graph(n, edges)
     oracle = brute_force_all_instances(g)
-    full = graphlets._four_node_rows(copy_graph(g))
     for name in FOUR_NODE_ROUTES:
         rows = _occurrence_rows(copy_graph(g), SKELETONS[name])  # its route runs first
         assert [tuple(row) for row in rows.tolist()] == oracle[name], name
-        assert rows.dtype == full[name].dtype and np.array_equal(rows, full[name]), name
+        assert rows.dtype == np.int32 and not rows.flags.writeable, name
+
+
+def test_routes_order_rows_alike_beyond_one_int64_key():
+    # Four ids of a 60,000-node graph overflow one base-n int64 key, so the
+    # routes order its rows by a lexsort instead; the rows must not change.
+    small = random_graph(4, 12, 0.45)
+    big = make_graph(60_000, small.edge_array.tolist())
+    for name in SKELETON_ORDER:
+        want = _occurrence_rows(small, SKELETONS[name])
+        got = _occurrence_rows(big, SKELETONS[name])
+        assert len(want) and got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_occurrence_tables_die_with_their_graph():

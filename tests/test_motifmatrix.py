@@ -140,6 +140,22 @@ def test_typed_volume_matches_weighted_volume():
             assert typed_volume(mm, s) == weighted_volume(mm.induced_graph(), s)
 
 
+def test_typed_volume_catches_a_dropped_occurrence(monkeypatch):
+    # The volume oracle counts the subset scan's occurrences, not the fast
+    # rows, so a route that drops an occurrence breaks the volume identity.
+    original = graphlets._occurrence_rows
+
+    def dropping(g, skel):
+        rows = original(g, skel)
+        return rows[1:] if skel.name == "triangle" else rows
+
+    g = random_graph(5, 14, 0.4)
+    assert len(instances_matching(g, tri_sig())) > 1
+    monkeypatch.setattr(graphlets, "_occurrence_rows", dropping)
+    mm = build_motif_matrix(random_graph(5, 14, 0.4), tri_sig())
+    assert typed_volume(mm, range(14)) != weighted_volume(mm.induced_graph(), range(14))
+
+
 def test_typed_cut_examples():
     g, sig = cycle_umum()
     assert typed_cut(g, sig, {0}) == 1

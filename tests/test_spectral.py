@@ -42,6 +42,7 @@ from conftest import (
     FOUR_NODE_ROUTES,
     barbell,
     connected_random_graph,
+    copy_graph,
     count_four_node_routes,
     make_graph,
     random_graph,
@@ -668,6 +669,48 @@ def test_rank_skips_absent_signatures():
     res = rank_typed_graphlets(g, [TRI_SIG, EDGE_SIG])
     assert [r.signature.skeleton.name for r in res.ranked] == ["edge"]
     assert res.skipped == [TRI_SIG]
+
+
+def per_signature_ranking(g, sigs):
+    """Reference: one motif matrix, component search and eigensolve per signature."""
+    ranked, skipped = [], []
+    for sig in sigs:
+        mm = build_motif_matrix(g, sig)
+        if not len(mm.motif_graph.pairs):
+            skipped.append(sig)
+            continue
+        comps = spectral._covered_components(mm.induced_graph())
+        comps.sort(key=lambda c: (-len(c), c[0]))
+        lap = build_normalized_laplacian(mm.induced_graph(), comps[0])
+        lam2 = smallest_eigenpairs(lap, 2)[1].value
+        ranked.append((sig, lam2, spectral._beta_factor(lam2, sig.skeleton.edge_count)))
+    ranked.sort(key=lambda r: (r[2], r[0].skeleton.name, r[0].node_types or ()))
+    return ranked, skipped
+
+
+def test_grouped_ranking_equals_the_per_signature_loop():
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    diamond = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    # Triangle motif graphs with two largest components of 4 nodes each.
+    tied = [make_graph(8, first + [(u + 4, v + 4) for u, v in second])
+            for first, second in ((k4, diamond), (diamond, k4))]
+    cases = [(g, "multiset") for g in tied] + [
+        (random_graph(seed, 14 + seed % 5, 0.3, n_type_count=1 + seed % 3, e_type_count=2), mode)
+        for seed in range(6) for mode in ("multiset", "set", "strict")]
+    for g, mode in cases:
+        low, high = g.node_type_names[0], g.node_type_names[-1]
+        sigs = list(census(g, typing_mode=mode))
+        sigs += [TypedGraphletSignature(skel, typing_mode=mode) for skel in SKELETONS.values()]
+        sigs += [parse_signature_spec(g, spec, mode) for spec in (
+            f"triangle:{low},{low},{high}", f"4-path:{low},{high},{high},{low}", f"wedge:{high},{low},{high}")]
+        sigs += [sigs[0], TypedGraphletSignature(SKELETONS["diamond"], (0,) * 4, (9,) * 5, mode)]
+        res = rank_typed_graphlets(g, sigs)
+        ranked, skipped = per_signature_ranking(copy_graph(g), sigs)
+        assert [(r.signature, r.lambda2, r.beta) for r in res.ranked] == ranked
+        assert res.skipped == skipped and sigs[-1] in skipped
+    # The component holding node 0 wins the tie, so the two graphs differ.
+    lam = [next(r.lambda2 for r in rank_typed_graphlets(g, [TRI_SIG]).ranked) for g in tied]
+    assert lam[0] != lam[1]
 
 
 def test_beta_monotone_in_edge_count():
