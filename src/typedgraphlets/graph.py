@@ -240,70 +240,79 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.node_count}, nnz={len(self.pairs)})"
 
 
+def _type_conflict(lineno: int, name: str, old: str, new: str) -> EdgeListFormatError:
+    return EdgeListFormatError(
+        f"line {lineno}: node '{name}' declared with conflicting types '{old}' and '{new}'"
+    )
+
+
 def load_typed_edge_list(text: str) -> HeteroGraph:
     """Parse a typed edge-list document into a HeteroGraph.
 
-    One record per line: ``src dst src_type dst_type [edge_type]``. Lines
-    starting with ``#`` are comments; ``%node <id> <type>`` declares a node
-    without requiring an incident edge (used for isolated nodes). Node ids
-    and type labels are interned densely in first-appearance order. The two
-    directions of an undirected edge collapse into one (counted in
+    One record per line: ``src dst src_type dst_type [edge_type]``. A line
+    whose first non-blank character is ``#`` is a comment. A ``#`` after data
+    is an ordinary column: ``a b U U e # note`` has 7 columns and is rejected,
+    and ``a b U U #`` has edge type ``#``. ``%node <id> <type>`` declares a
+    node without requiring an incident edge (used for isolated nodes). Node
+    ids and type labels are interned densely in first-appearance order. The
+    two directions of an undirected edge collapse into one (counted in
     ``collapsed_duplicates``); collapsed duplicates that disagree on edge
     type are an error, as are self-loops and extra columns (edge weights are
-    not accepted).
+    not accepted). The first faulty line raises; within a line the checks
+    run in this order: directive, column count, self-loop, source type,
+    target type, conflicting repeat.
     """
     node_ids: dict[str, int] = {}
     node_types: list[int] = []
     node_type_ids: dict[str, int] = {}
     edge_type_ids: dict[str, int] = {}
     edge_map: dict[tuple[int, int], int] = {}
-    collapsed = 0
+    edge_lines = 0
 
-    def intern_node(name: str, type_label: str, lineno: int) -> int:
-        tid = node_type_ids.setdefault(type_label, len(node_type_ids))
-        nid = node_ids.setdefault(name, len(node_ids))
-        if nid == len(node_types):
-            node_types.append(tid)
-        elif node_types[nid] != tid:
-            raise EdgeListFormatError(
-                f"line {lineno}: node '{name}' declared with conflicting types "
-                f"'{list(node_type_ids)[node_types[nid]]}' and '{type_label}'"
-            )
-        return nid
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    # str.split() drops surrounding whitespace: [] is a blank line, and the
+    # first token's first character marks a comment or a directive.
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), start=1):
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        if parts[0].startswith("%"):
+        if parts[0][0] == "%":
             if parts[0] != "%node" or len(parts) != 3:
                 raise EdgeListFormatError(
                     f"line {lineno}: unrecognised directive (expected '%node <id> <type>')"
                 )
-            intern_node(parts[1], parts[2], lineno)
-            continue
-        if len(parts) not in (4, 5):
+            _, src, stype = parts
+            dst = None  # a declaration interns its one node below, then stops
+        elif len(parts) == 5:
+            src, dst, stype, dtype, etype = parts
+        elif len(parts) == 4:
+            src, dst, stype, dtype = parts
+            etype = DEFAULT_EDGE_TYPE
+        else:
             raise EdgeListFormatError(
                 f"line {lineno}: expected 'src dst src_type dst_type [edge_type]', "
                 f"got {len(parts)} columns"
             )
-        src, dst, stype, dtype = parts[:4]
         if src == dst:
             raise EdgeListFormatError(f"line {lineno}: self-loop at '{src}'")
-        etype = parts[4] if len(parts) == 5 else DEFAULT_EDGE_TYPE
-        u = intern_node(src, stype, lineno)
-        v = intern_node(dst, dtype, lineno)
-        eid = edge_type_ids.setdefault(etype, len(edge_type_ids))
-        key = (u, v) if u < v else (v, u)
-        if key in edge_map:
-            if edge_map[key] != eid:
-                raise EdgeListFormatError(
-                    f"line {lineno}: edge {src}-{dst} repeats with conflicting edge types"
-                )
-            collapsed += 1
+        tid = node_type_ids.setdefault(stype, len(node_type_ids))
+        u = node_ids.setdefault(src, len(node_ids))
+        if u == len(node_types):
+            node_types.append(tid)
+        elif node_types[u] != tid:
+            raise _type_conflict(lineno, src, list(node_type_ids)[node_types[u]], stype)
+        if dst is None:
             continue
-        edge_map[key] = eid
+        tid = node_type_ids.setdefault(dtype, len(node_type_ids))
+        v = node_ids.setdefault(dst, len(node_ids))
+        if v == len(node_types):
+            node_types.append(tid)
+        elif node_types[v] != tid:
+            raise _type_conflict(lineno, dst, list(node_type_ids)[node_types[v]], dtype)
+        eid = edge_type_ids.setdefault(etype, len(edge_type_ids))
+        edge_lines += 1
+        if edge_map.setdefault((u, v) if u < v else (v, u), eid) != eid:
+            raise EdgeListFormatError(
+                f"line {lineno}: edge {src}-{dst} repeats with conflicting edge types"
+            )
 
     # Ids are interned densely in insertion order, so each table's keys
     # listed in order are its names by id.
@@ -314,7 +323,7 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
         list(edge_map.values()),
         list(node_type_ids),
         list(edge_type_ids),
-        collapsed_duplicates=collapsed,
+        collapsed_duplicates=edge_lines - len(edge_map),
     )
 
 

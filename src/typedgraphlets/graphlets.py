@@ -390,7 +390,7 @@ def _type_keys(g: HeteroGraph, skel: Skeleton, rows: np.ndarray, typing_mode: st
     k, m = skel.node_count, skel.edge_count
     node_types = np.asarray(g.node_types, dtype=np.int64)[rows]
     pair_cols = {pair: i for i, pair in enumerate(combinations(range(k), 2))}
-    pair_types = g.pair_edge_types(_row_pair_keys(g, rows))
+    pair_types = np.column_stack([g.pair_edge_types(col) for col in _row_pair_keys(g, rows).T])
     if typing_mode == "multiset":
         return np.hstack([np.sort(node_types, axis=1), np.sort(pair_types, axis=1)[:, -m:]])
     if typing_mode == "set":

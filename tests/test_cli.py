@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from typedgraphlets import (
+    EdgeListFormatError,
     LinkPredResult,
     MetricsReport,
     cli,
+    load_typed_edge_list,
     parse_signature_spec,
     read_typed_edge_list,
     spectral_embedding,
@@ -100,6 +102,54 @@ def test_parse_error_exit_code(tmp_path):
     path = write_input(tmp_path, "a a U U e\n")
     code, _ = run_cli(tmp_path, "census", "--input", path)
     assert code == 3
+
+
+# Each document holds two faults. The first faulty line wins; within a line the
+# order is directive, column count, self-loop, source type, target type,
+# conflicting repeat. The messages are pinned byte for byte.
+PARSE_PRECEDENCE = [
+    ("a b U U e\nb a U U f\nc c U U e\n",
+     "line 2: edge b-a repeats with conflicting edge types"),
+    ("a b U U e\na a M M e\n", "line 2: self-loop at 'a'"),
+    ("%node a U x\n", "line 1: unrecognised directive (expected '%node <id> <type>')"),
+    ("%nodes a U\n", "line 1: unrecognised directive (expected '%node <id> <type>')"),
+    ("a a U U e x\n",
+     "line 1: expected 'src dst src_type dst_type [edge_type]', got 6 columns"),
+    ("a a U\n", "line 1: expected 'src dst src_type dst_type [edge_type]', got 3 columns"),
+    ("a b U U e # note\nb b U U\n",
+     "line 1: expected 'src dst src_type dst_type [edge_type]', got 7 columns"),
+    ("a b U U\na b M M\n", "line 2: node 'a' declared with conflicting types 'U' and 'M'"),
+    ("a b U U\nb a U M f\n", "line 2: node 'a' declared with conflicting types 'U' and 'M'"),
+    ("a b U U e\nb a M U f\n", "line 2: node 'b' declared with conflicting types 'U' and 'M'"),
+    ("a b U U\na c M U\n%nodes x U\n",
+     "line 2: node 'a' declared with conflicting types 'U' and 'M'"),
+    ("a b U U e\nb a U U f\n%node a\n", "line 2: edge b-a repeats with conflicting edge types"),
+    ("%node a U\n%node a M\na b U\n",
+     "line 2: node 'a' declared with conflicting types 'U' and 'M'"),
+    ("a b U U\nb a U U f\nc d U\n", "line 2: edge b-a repeats with conflicting edge types"),
+    ("a a U U\n\n  # c\na b U U e 2.5\n", "line 1: self-loop at 'a'"),
+    ("a b U\n%nodes x U\n",
+     "line 1: expected 'src dst src_type dst_type [edge_type]', got 3 columns"),
+    ("a b U U e x\n%node a\n",
+     "line 1: expected 'src dst src_type dst_type [edge_type]', got 6 columns"),
+    # splitlines numbering: CRLF, a whitespace-only line, a form feed
+    ("a b U U\r\n \t\r\n\t# c\r\nb b U U\r\na a M\n", "line 4: self-loop at 'b'"),
+    ("a b U U\x0cb b U U\n%nodes\n", "line 2: self-loop at 'b'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PARSE_PRECEDENCE)
+def test_parse_errors_report_the_first_fault_in_precedence_order(tmp_path, capsys, text,
+                                                                   message):
+    with pytest.raises(EdgeListFormatError) as exc:
+        load_typed_edge_list(text)
+    assert str(exc.value) == message
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode())
+    code, out = run_cli(tmp_path, "census", "--input", str(path))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_missing_file_exit_code(tmp_path):

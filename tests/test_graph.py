@@ -83,6 +83,9 @@ def test_load_default_edge_type():
     ("%node z U\na b U M e\nc b U M f\nb a M U e\na b U M e\nc a U U e\n%node d M\nd z M U f\n",
      HeteroGraph(["z", "a", "b", "c", "d"], [0, 0, 1, 0, 1], [(1, 2), (2, 3), (1, 3), (0, 4)],
                  [0, 1, 0, 1], ["U", "M"], ["e", "f"], collapsed_duplicates=2)),
+    # Only a line whose first non-blank character is '#' is a comment.
+    (" \t# comment\na b U U #\n",
+     HeteroGraph(["a", "b"], [0, 0], [(0, 1)], [0], ["U"], ["#"])),
 ])
 def test_load_equals_the_constructor_fed_tuples(text, expected):
     g = load_typed_edge_list(text)

@@ -48,7 +48,7 @@ PROPERTY_SETTINGS = settings(derandomize=True, max_examples=120, deadline=None)
 
 
 @st.composite
-def typed_graphs(draw, max_nodes=10):
+def typed_graphs(draw, max_nodes=10, edge_type_names=("r", "s")):
     """A typed simple graph on at most ``max_nodes`` nodes."""
     n = draw(st.integers(0, max_nodes))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -59,7 +59,7 @@ def typed_graphs(draw, max_nodes=10):
         edges,
         draw(st.lists(st.integers(0, 1), min_size=len(edges), max_size=len(edges))),
         ("A", "B", "C"),
-        ("r", "s"),
+        edge_type_names,
     )
 
 
@@ -277,27 +277,62 @@ def test_constructor_reports_rows_that_are_not_pairs_in_input_order(edges, messa
 
 # ----------------------------------------------------------------- edge-list parser
 
-def write_typed_edge_list(g, flips=(), repeats=()):
-    """A typed edge-list document for ``g``: every node declared first.
+def write_typed_edge_list(g, flips=(), repeats=(), layout=None):
+    """A typed edge-list document for ``g``.
 
     ``flips[i]`` writes edge i as (v, u); ``repeats[i]`` adds its reverse
-    on the next line, which the parser collapses.
+    on the next line, which the parser collapses. Without ``layout`` every
+    node is declared first and columns are split by one space. A
+    ``layout`` (drawn by ``layouts``) sets the column separator and line
+    end, writes edges of type ``-`` with four columns, and inserts its noise
+    lines (indented comments, blank and whitespace-only lines) at the given
+    positions. A node in its ``undeclared`` set is then left for an edge
+    line to intern where that keeps ids in order; every other node is
+    declared just before the first line that needs it.
     """
     name, label = g.node_names, [g.node_type_names[t] for t in g.node_types]
-    lines = [f"%node {name[v]} {label[v]}" for v in range(g.node_count)]
+    sep, end, undeclared, noise = layout or (" ", "\n", (), ())
+
+    def declare(ids):
+        return [f"%node{sep}{name[x]}{sep}{label[x]}" for x in ids]
+
+    seen = 0 if layout else g.node_count  # nodes below seen are interned
+    lines = declare(range(seen))
     for i, ((u, v), t) in enumerate(zip(g.edges, g.edge_types)):
         if i < len(flips) and flips[i]:
             u, v = v, u
+        # The line interns its new endpoints in column order, after every
+        # declaration before it, so only hi or (hi - 1, hi) can be left to it.
+        hi = max(u, v)
+        own = [x for x in (u, v) if x >= seen and x in undeclared]
+        own = own if own == [hi - 1, hi] else [hi] if hi in own else []
+        lines += declare(range(seen, own[0] if own else hi + 1))
+        seen = max(seen, hi + 1)
+        etype = g.edge_type_names[t]
+        tail = [] if layout and etype == "-" else [etype]
         rows = [(u, v), (v, u)] if i < len(repeats) and repeats[i] else [(u, v)]
         for a, b in rows:
-            lines.append(f"{name[a]} {name[b]} {label[a]} {label[b]} {g.edge_type_names[t]}")
-    return "".join(line + "\n" for line in lines)
+            lines.append(sep.join([name[a], name[b], label[a], label[b], *tail]))
+    lines += declare(range(seen, g.node_count))
+    for at, text in noise:
+        lines.insert(at % (len(lines) + 1), text)
+    return "".join(line + end for line in lines)
+
+
+@st.composite
+def layouts(draw):
+    """Separator, line end, undeclared nodes and noise lines for ``write_typed_edge_list``."""
+    return (draw(st.sampled_from([" ", "\t", " \t "])), draw(st.sampled_from(["\n", "\r\n"])),
+            draw(st.sets(st.integers(0, 10))),
+            draw(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(
+                ["  # note", "\t# a b c", " \t#", "", " ", "\t \t"])), max_size=4)))
 
 
 @PROPERTY_SETTINGS
-@given(typed_graphs(), st.lists(st.booleans()), st.lists(st.booleans()))
-def test_parse_round_trip(g, flips, repeats):
-    text = write_typed_edge_list(g, flips, repeats)
+@given(typed_graphs() | typed_graphs(edge_type_names=("-", "s")),
+       st.lists(st.booleans()), st.lists(st.booleans()), st.none() | layouts())
+def test_parse_round_trip(g, flips, repeats, layout):
+    text = write_typed_edge_list(g, flips, repeats, layout)
     h = load_typed_edge_list(text)
     assert h.node_names == g.node_names
     assert h.edges == g.edges
