@@ -32,6 +32,8 @@ EDGE_OPERATORS = tuple(_EDGE_OPERATOR_FUNCTIONS)
 # Cap on exhaustive non-edge enumeration; beyond it sampling falls back to
 # seeded rejection with a retry budget.
 _ENUMERATE_PAIR_LIMIT = 2_000_000
+# Rows of the candidate mask listed at once, which bounds the key scratch.
+_ROW_BLOCK = 64
 
 
 def external_conductance(g: HeteroGraph, s: Iterable[int]) -> Fraction:
@@ -82,12 +84,6 @@ def _pattern_table(patterns: set[tuple[int, int]], type_count: int) -> np.ndarra
     return table
 
 
-def _valid_pairs(pairs: Iterable[tuple[int, int]], n: int) -> np.ndarray:
-    """The pairs (u, v) with 0 <= u < v < n, as an int64 (k, 2) array."""
-    arr = np.array([(u, v) for u, v in pairs], dtype=np.int64).reshape(-1, 2)
-    return arr[(0 <= arr[:, 0]) & (arr[:, 0] < arr[:, 1]) & (arr[:, 1] < n)]
-
-
 def _sample_nonedges(
     g: HeteroGraph,
     patterns: set[tuple[int, int]],
@@ -97,8 +93,8 @@ def _sample_nonedges(
 ) -> list[tuple[int, int]]:
     """Seeded sample of non-edges whose endpoint types match a pattern.
 
-    Up to ``_ENUMERATE_PAIR_LIMIT`` node pairs, every candidate (u, v), u < v,
-    is listed in lexicographic order and ``count`` of them are drawn with
+    Up to ``_ENUMERATE_PAIR_LIMIT`` node pairs, ``count`` positions in the
+    lexicographic list of every candidate (u, v), u < v, are drawn with
     ``rng.sample``; beyond it pairs are drawn by rejection. ``exclude`` pairs
     are matched exactly as given, so only (u, v) with u < v can exclude.
     """
@@ -106,18 +102,28 @@ def _sample_nonedges(
     table = _pattern_table(patterns, g.node_type_count)
     if n * (n - 1) // 2 <= _ENUMERATE_PAIR_LIMIT:
         types = np.asarray(g.node_types, dtype=np.int64)
-        ok = np.triu(table[types[:, None], types], 1)
-        for u, v in (g.edge_array.T, _valid_pairs(exclude, n).T):
+        ok = table[types][:, types]
+        for i in range(n):
+            ok[i, : i + 1] = False
+        drop = np.array([*exclude], dtype=np.int64).reshape(-1, 2)
+        drop = drop[(0 <= drop[:, 0]) & (drop[:, 0] < drop[:, 1]) & (drop[:, 1] < n)]
+        for u, v in (g.edge_array.T, drop.T):
             ok[u, v] = False
-        # Keys u * n + v of the upper triangle, in lexicographic pair order.
-        cands = np.flatnonzero(ok)
-        if len(cands) < count:
+        # before[i] candidates lie above row i. Random.sample draws from the
+        # population's length alone, so drawing positions gives the pairs that
+        # drawing from the list would; a block of rows lists its keys u * n + v.
+        before = np.concatenate([[0], np.cumsum(np.count_nonzero(ok, axis=1))])
+        found = before[-1]
+        if found < count:
             raise ValueError(
-                f"not enough type-compatible non-edges: need {count}, found {len(cands)}"
+                f"not enough type-compatible non-edges: need {count}, found {found}"
             )
-        # Random.sample draws from the population's length alone, so sampling
-        # positions gives the same pairs as sampling the candidate list.
-        us, vs = np.divmod(cands[rng.sample(range(len(cands)), count)], n)
+        picks = np.array(rng.sample(range(found), count), dtype=np.int64)
+        keys = np.empty_like(picks)
+        for lo in range(0, n, _ROW_BLOCK):
+            hit = (before[lo] <= picks) & (picks < before[min(lo + _ROW_BLOCK, n)])
+            keys[hit] = np.flatnonzero(ok[lo : lo + _ROW_BLOCK])[picks[hit] - before[lo]] + lo * n
+        us, vs = np.divmod(keys, n)
         return list(zip(us.tolist(), vs.tolist()))
     edge_keys = set(g.sorted_edge_keys[0].tolist())
     picked: list[tuple[int, int]] = []
@@ -230,14 +236,6 @@ def _loss_into(
     np.log(work, out=work)
     data = -(np.add.reduce(work) / len(work))
     return float(data + 0.5 * l2 * np.dot(w[:-1], w[:-1]))
-
-
-def _loss_and_probs(
-    Xb: np.ndarray, y: np.ndarray, w: np.ndarray, l2: float
-) -> tuple[float, np.ndarray]:
-    """Penalised logistic loss at ``w`` for labels of 0 or 1, and the probabilities."""
-    p = np.empty(len(y))
-    return _loss_into(Xb, 1 - y, w, l2, p, np.empty(len(y))), p
 
 
 def train_linear_classifier(

@@ -246,6 +246,13 @@ def _type_conflict(lineno: int, name: str, old: str, new: str) -> EdgeListFormat
     )
 
 
+def _marked_id(lineno: int, name: str) -> EdgeListFormatError:
+    return EdgeListFormatError(
+        f"line {lineno}: node id '{name}' starts with '{name[0]}', "
+        "which marks a comment or a directive"
+    )
+
+
 def load_typed_edge_list(text: str) -> HeteroGraph:
     """Parse a typed edge-list document into a HeteroGraph.
 
@@ -254,13 +261,15 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
     is an ordinary column: ``a b U U e # note`` has 7 columns and is rejected,
     and ``a b U U #`` has edge type ``#``. ``%node <id> <type>`` declares a
     node without requiring an incident edge (used for isolated nodes). Node
-    ids and type labels are interned densely in first-appearance order. The
-    two directions of an undirected edge collapse into one (counted in
-    ``collapsed_duplicates``); collapsed duplicates that disagree on edge
-    type are an error, as are self-loops and extra columns (edge weights are
-    not accepted). The first faulty line raises; within a line the checks
-    run in this order: directive, column count, self-loop, source type,
-    target type, conflicting repeat.
+    ids and type labels are interned densely in first-appearance order; a
+    node id, checked where it first appears, may not start with ``#`` or
+    ``%`` (as a source it would read as a comment or a directive), while
+    labels may. The two directions of an undirected edge collapse into one
+    (counted in ``collapsed_duplicates``); collapsed duplicates that disagree
+    on edge type are an error, as are self-loops and extra columns (edge
+    weights are not accepted). The first faulty line raises; within a line
+    the checks run in this order: directive, column count, self-loop, source
+    id or type, target id or type, conflicting repeat.
     """
     node_ids: dict[str, int] = {}
     node_types: list[int] = []
@@ -296,6 +305,8 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
         tid = node_type_ids.setdefault(stype, len(node_type_ids))
         u = node_ids.setdefault(src, len(node_ids))
         if u == len(node_types):
+            if src[0] in "#%":
+                raise _marked_id(lineno, src)
             node_types.append(tid)
         elif node_types[u] != tid:
             raise _type_conflict(lineno, src, list(node_type_ids)[node_types[u]], stype)
@@ -304,6 +315,8 @@ def load_typed_edge_list(text: str) -> HeteroGraph:
         tid = node_type_ids.setdefault(dtype, len(node_type_ids))
         v = node_ids.setdefault(dst, len(node_ids))
         if v == len(node_types):
+            if dst[0] in "#%":
+                raise _marked_id(lineno, dst)
             node_types.append(tid)
         elif node_types[v] != tid:
             raise _type_conflict(lineno, dst, list(node_type_ids)[node_types[v]], dtype)

@@ -152,6 +152,30 @@ def test_parse_errors_report_the_first_fault_in_precedence_order(tmp_path, capsy
     assert not out.exists()
 
 
+MARKED = "starts with '{}', which marks a comment or a directive"
+
+
+@pytest.mark.parametrize("text, message", [
+    # As a source, '#a' would read as a comment line and drop the edge.
+    ("b #a U U\n#a c U U\n", "line 1: node id '#a' " + MARKED.format("#")),
+    ("a b U U\nb %c U U\n", "line 2: node id '%c' " + MARKED.format("%")),
+    ("%node #x U\na b U U\n", "line 1: node id '#x' " + MARKED.format("#")),
+    ("a b U U\n%node %x U\n", "line 2: node id '%x' " + MARKED.format("%")),
+    ("a b U U\na #c U U\n", "line 2: node id '#c' " + MARKED.format("#")),
+    # Precedence: column count first; the source's type before the target's id.
+    ("a #b U\n", "line 1: expected 'src dst src_type dst_type [edge_type]', got 3 columns"),
+    ("a b U U\na #c M U\n", "line 2: node 'a' declared with conflicting types 'U' and 'M'"),
+])
+def test_node_ids_starting_with_a_line_marker_exit_3(tmp_path, capsys, text, message):
+    with pytest.raises(EdgeListFormatError) as exc:
+        load_typed_edge_list(text)
+    assert str(exc.value) == message
+    code, out = run_cli(tmp_path, "census", "--input", write_input(tmp_path, text))
+    assert code == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_file_exit_code(tmp_path):
     code, _ = run_cli(tmp_path, "census", "--input", str(tmp_path / "nope.txt"))
     assert code == 3

@@ -26,7 +26,7 @@ from typedgraphlets import (
 from typedgraphlets import HeteroGraph, evaluation, oracles
 from typedgraphlets.evaluation import (
     _average_ranks,
-    _loss_and_probs,
+    _loss_into,
     _sample_nonedges,
     _sigmoid,
     _type_patterns,
@@ -222,6 +222,12 @@ def test_classifier_single_class_rejected():
 def test_classifier_labels_other_than_0_and_1_rejected(labels):
     with pytest.raises(ValueError, match="training labels must be 0 or 1"):
         train_linear_classifier(np.ones((4, 2)), np.array(labels, dtype=float))
+
+
+def _loss_and_probs(Xb, y, w, l2):
+    """Penalised logistic loss at ``w`` for labels of 0 or 1, and the probabilities."""
+    p = np.empty(len(y))
+    return _loss_into(Xb, 1 - y, w, l2, p, np.empty(len(y))), p
 
 
 def two_log_loss_and_probs(Xb, y, w, l2):
@@ -553,8 +559,64 @@ def test_sample_nonedges_tiny_and_complete_graphs_match_the_loop(n, edges):
     assert str(fast.value) == str(slow.value)
 
 
+def triu_list_nonedges(g, patterns, count, rng, exclude):
+    """The single-list route: every candidate key from one np.triu mask, then a draw."""
+    n = g.node_count
+    types = np.asarray(g.node_types, dtype=np.int64)
+    table = evaluation._pattern_table(patterns, g.node_type_count)
+    ok = np.triu(table[types[:, None], types], 1)
+    drop = np.array([(u, v) for u, v in exclude], dtype=np.int64).reshape(-1, 2)
+    drop = drop[(0 <= drop[:, 0]) & (drop[:, 0] < drop[:, 1]) & (drop[:, 1] < n)]
+    for u, v in (g.edge_array.T, drop.T):
+        ok[u, v] = False
+    cands = np.flatnonzero(ok)
+    if len(cands) < count:
+        raise ValueError(
+            f"not enough type-compatible non-edges: need {count}, found {len(cands)}"
+        )
+    us, vs = np.divmod(cands[rng.sample(range(len(cands)), count)], n)
+    return list(zip(us.tolist(), vs.tolist()))
+
+
+def boundary_excludes(g, seed):
+    """Non-edges, reversed pairs, edges and out-of-range pairs, on graphs of any size."""
+    rng = random.Random(seed)
+    n = g.node_count
+    pairs = rng.sample(list(combinations(range(n), 2)), min(40, n * (n - 1) // 2))
+    return (set(pairs[::2]) | {(v, u) for u, v in pairs[1::2]} | set(g.edges[:5])
+            | {(-1, 0), (0, n), (n - 1, n), (n, n + 1), (n - 1, n - 1)})
+
+
+@pytest.mark.parametrize("block", [1, 2, evaluation._ROW_BLOCK])
+@pytest.mark.parametrize("n, type_count", [
+    (0, 1), (1, 1), (2, 1), (2, 2), (63, 2), (64, 3), (65, 1), (65, 2), (301, 3),
+])
+def test_sample_nonedges_row_blocks_match_the_single_list_route(monkeypatch, block, n,
+                                                                 type_count):
+    # Row blocks of 1 and 2 put block boundaries everywhere; at the default
+    # block, 65 and 301 nodes end on a partial block.
+    monkeypatch.setattr(evaluation, "_ROW_BLOCK", block)
+    g = random_graph(780 + n, n, 0.1, n_type_count=type_count)
+    for seed, patterns in enumerate(NONEDGE_PATTERNS[:3]):
+        for exclude in (set(), boundary_excludes(g, seed)):
+            found = len(loop_nonedge_candidates(g, patterns, exclude))
+            for count in sorted({0, min(1, found), found // 3, max(found - 1, 0), found}):
+                a, b = random.Random(seed), random.Random(seed)
+                got = _sample_nonedges(g, patterns, count, a, exclude)
+                assert got == triu_list_nonedges(g, patterns, count, b, exclude)
+                assert all(type(x) is int for pair in got for x in pair)
+                assert a.random() == b.random()
+            with pytest.raises(ValueError) as fast:
+                _sample_nonedges(g, patterns, found + 1, random.Random(seed), exclude)
+            with pytest.raises(ValueError) as slow:
+                triu_list_nonedges(g, patterns, found + 1, random.Random(seed), exclude)
+            assert str(fast.value) == str(slow.value)
+
+
 def test_sample_nonedges_enumeration_peak_memory_is_a_few_bytes_per_node_pair():
-    n = 400
+    # One n x n mask (1 byte per pair) plus one block of keys; listing every
+    # candidate key at once would take about 5 bytes per pair here.
+    n = 1000
     g = random_graph(770, n, 0.02, n_type_count=2)
     patterns, exclude = {(0, 0), (0, 1), (1, 1)}, nonedge_excludes(g, 0)
     tracemalloc.start()
@@ -564,7 +626,7 @@ def test_sample_nonedges_enumeration_peak_memory_is_a_few_bytes_per_node_pair():
     finally:
         tracemalloc.stop()
     assert len(picked) == 100
-    assert peak < 8 * n * n, peak / (n * n)
+    assert peak < 3 * n * n, peak / (n * n)
 
 
 def loop_average_ranks(values):

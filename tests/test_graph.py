@@ -86,6 +86,9 @@ def test_load_default_edge_type():
     # Only a line whose first non-blank character is '#' is a comment.
     (" \t# comment\na b U U #\n",
      HeteroGraph(["a", "b"], [0, 0], [(0, 1)], [0], ["U"], ["#"])),
+    # Only node ids are barred from starting with '#' or '%'; labels are free.
+    ("a b #U %M #\nb c %M %M %e\n",
+     HeteroGraph(["a", "b", "c"], [0, 1, 1], [(0, 1), (1, 2)], [0, 1], ["#U", "%M"], ["#", "%e"])),
 ])
 def test_load_equals_the_constructor_fed_tuples(text, expected):
     g = load_typed_edge_list(text)
