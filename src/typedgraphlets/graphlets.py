@@ -465,8 +465,7 @@ def _rows_matching(
     if len(wanted) == 1 and wanted[0].is_wildcard:
         return rows, np.zeros(len(rows), dtype=np.int64)
     ids, sigs = _signature_column(g, wanted[0].skeleton, wanted[0].typing_mode)
-    at = [np.flatnonzero(np.isin(ids, [i for i, s in enumerate(sigs) if w.matches(s)]))
-          for w in wanted]
+    at = [np.flatnonzero(np.array([w.matches(s) for s in sigs], dtype=bool)[ids]) for w in wanted]
     return rows[np.concatenate(at)], np.repeat(np.arange(len(wanted)), [len(a) for a in at])
 
 

@@ -10,7 +10,9 @@ only conductances are ratios, returned as Fractions.
 Two routes fill a motif matrix: the untyped wedge has a closed form over
 edge keys, degrees and triangles; every other signature counts its
 occurrence rows, and one pass of that count fills the Ws of several
-signatures of one skeleton at once.
+signatures of one skeleton at once. ``_motif_matrices`` is the one place
+that chooses between them, for the whole graph and for the parts of a
+partition alike.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ class MotifMatrix:
 
     ``_cut(side)`` is the number of occurrences with nodes on both sides of
     a boolean node mask. ``instances``, the occurrence rows, is computed on
-    first read; ``_motif_matrix`` reads it for the parts of a partition when
-    the signature has no closed form.
+    first read.
     """
 
     graph: HeteroGraph
@@ -96,37 +97,51 @@ class NormalizedLaplacian:
 
 def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatrix:
     """W entry (i, j), i < j: matching occurrences that contain edge (i, j)."""
-    if _closed_form(sig):
-        return _wedge_matrix(g, sig, np.ones(g.node_count, dtype=bool))
-    return _row_matrix(g, sig, instances_matching(g, sig))
+    return _motif_matrices(g, [sig], np.ones(g.node_count, dtype=bool))[0]
 
 
-def _motif_matrix(mm: MotifMatrix, inside: np.ndarray) -> MotifMatrix:
-    """W of the occurrences of ``mm`` that lie wholly inside a node mask.
+def _motif_matrices(g: HeteroGraph, sigs: Sequence[TypedGraphletSignature],
+                    inside: np.ndarray) -> list[MotifMatrix]:
+    """W of each signature over its occurrences that lie wholly inside a node mask.
 
-    They are exactly the occurrences of the subgraph the mask induces.
+    They are exactly the occurrences of the subgraph the mask induces. A
+    wildcard wedge takes its closed form. The other signatures are grouped
+    by (skeleton, typing mode), and one ``_row_graphs`` call fills the Ws of
+    a group's distinct signatures. A mask that keeps every node restricts
+    nothing, so a lone wildcard's rows stay the occurrence table itself.
     """
-    if _closed_form(mm.signature):
-        return _wedge_matrix(mm.graph, mm.signature, inside)
-    rows = mm.instances
-    return _row_matrix(mm.graph, mm.signature, rows[inside[rows].all(axis=1)])
+    out: list = [None] * len(sigs)
+    groups: dict[tuple, dict[TypedGraphletSignature, list[int]]] = {}
+    for i, sig in enumerate(sigs):
+        if sig.is_wildcard and sig.skeleton.name == "wedge":
+            out[i] = _wedge_matrix(g, sig, inside)
+        else:
+            groups.setdefault((sig.skeleton, sig.typing_mode), {}).setdefault(sig, []).append(i)
+    whole = inside.all()
+    for group in groups.values():
+        rows, owner = _rows_matching(g, list(group))
+        if not whole:
+            held = inside[rows].all(axis=1)
+            rows, owner = rows[held], owner[held]
+        bounds = np.searchsorted(owner, np.arange(len(group) + 1))
+        graphs = _row_graphs(g, rows, bounds)
+        for (sig, at), gH, lo, hi in zip(group.items(), graphs, bounds, bounds[1:]):
+            mm = _row_matrix(g, sig, gH, rows[lo:hi])
+            for i in at:
+                out[i] = mm
+    return out
 
 
-def _closed_form(sig: TypedGraphletSignature) -> bool:
-    return sig.is_wildcard and sig.skeleton.name == "wedge"
-
-
-def _row_matrix(g: HeteroGraph, sig: TypedGraphletSignature, rows: np.ndarray) -> MotifMatrix:
-    """W of the given occurrence rows of ``sig`` in ``g``."""
-    (motif_graph,) = _row_graphs(g, rows, np.zeros(len(rows), dtype=np.int64), 1)
+def _row_matrix(g: HeteroGraph, sig: TypedGraphletSignature, motif_graph: WeightedGraph,
+                rows: np.ndarray) -> MotifMatrix:
+    """The motif matrix of ``motif_graph``, whose occurrences are ``rows``."""
     return MotifMatrix(g, sig, motif_graph, lambda: rows, lambda side: _instance_cut(rows, side))
 
 
-def _row_graphs(g: HeteroGraph, rows: np.ndarray, owner: np.ndarray,
-                count: int) -> list[WeightedGraph]:
-    """W of ``count`` signatures at once, where row i is an occurrence of signature ``owner[i]``.
+def _row_graphs(g: HeteroGraph, rows: np.ndarray, bounds: np.ndarray) -> list[WeightedGraph]:
+    """W of several signatures at once, one per run ``rows[bounds[j]:bounds[j + 1]]``.
 
-    The rows come grouped by owner, in ascending order. Every node pair of
+    Run j holds the occurrence rows of signature j. Every node pair of
     an occurrence row that is a graph edge is an edge of the induced
     occurrence; each W counts its rows' pairs by their ``i * n + j`` key.
     The keys of all rows are made at once and looked up one pair column at
@@ -135,34 +150,11 @@ def _row_graphs(g: HeteroGraph, rows: np.ndarray, owner: np.ndarray,
     n = g.node_count
     keys = _row_pair_keys(g, rows)
     linked = np.column_stack([g.pair_edge_types(column) >= 0 for column in keys.T])
-    bounds = np.searchsorted(owner, np.arange(count + 1))
     graphs = []
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         found, counts = np.unique(keys[lo:hi][linked[lo:hi]], return_counts=True)
         graphs.append(WeightedGraph.from_pairs(n, np.column_stack(np.divmod(found, n)),
                                                counts.astype(np.int64)))
-    return graphs
-
-
-def _motif_graphs(g: HeteroGraph, sigs: Sequence[TypedGraphletSignature]) -> list[WeightedGraph]:
-    """W of each signature, as ``build_motif_matrix`` gives it, in one pass per skeleton.
-
-    A wildcard wedge takes its closed form. The other signatures are grouped
-    by (skeleton, typing mode), and one ``_row_graphs`` call fills the Ws of
-    a group's distinct signatures.
-    """
-    graphs: list = [None] * len(sigs)
-    groups: dict[tuple, dict[TypedGraphletSignature, list[int]]] = {}
-    for i, sig in enumerate(sigs):
-        if _closed_form(sig):
-            graphs[i] = build_motif_matrix(g, sig).motif_graph
-        else:
-            groups.setdefault((sig.skeleton, sig.typing_mode), {}).setdefault(sig, []).append(i)
-    for group in groups.values():
-        rows, owner = _rows_matching(g, list(group))
-        for at, gH in zip(group.values(), _row_graphs(g, rows, owner, len(group))):
-            for i in at:
-                graphs[i] = gH
     return graphs
 
 

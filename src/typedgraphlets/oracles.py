@@ -7,6 +7,7 @@ node subset or cut; the tests and ``cluster --oracle-check`` call them, no query
 | fast path                                      | oracle                                   |
 |------------------------------------------------|------------------------------------------|
 | ``graphlets`` occurrence tables, every shape   | ``brute_force_instances``                |
+| table sizes and census totals, at any size     | ``_untyped_counts`` (counts, not rows)   |
 | ``graphlets._signature_column`` typing         | ``signature_of``                         |
 | W, by ``_row_graphs`` and by ``_wedge_matrix`` | ``_brute_force_weights``                 |
 | W degrees and volumes (``MotifMatrix.degrees``)| ``typed_degree``, ``typed_volume``       |
@@ -24,10 +25,18 @@ from itertools import combinations, permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DegenerateCutError, GraphletAbsentError, ZeroVolumeError
 from .graph import HeteroGraph, WeightedGraph, _check_node_ids, _validate_cut
-from .graphlets import SKELETON_ORDER, SKELETONS, Skeleton, TypedGraphletSignature, resolve_skeleton
+from .graphlets import (
+    SKELETON_ORDER,
+    SKELETONS,
+    Skeleton,
+    TypedGraphletSignature,
+    _triangles,
+    resolve_skeleton,
+)
 from .motifmatrix import MotifMatrix
 
 BRUTE_FORCE_MAX_NODES = 64
@@ -129,6 +138,56 @@ def brute_force_instances(g: HeteroGraph, skel) -> list[tuple[int, ...]]:
 def brute_force_all_instances(g: HeteroGraph) -> dict[str, list[tuple[int, ...]]]:
     """Oracle occurrence node sets for every catalog skeleton."""
     return _brute_force(g, (2, 3, 4))
+
+
+# Row: the non-induced copies of one 4-node shape inside each induced shape
+# (column), both in this order. Upper triangular with a unit diagonal.
+_CONTAINED = {
+    "4-star": (1, 0, 1, 0, 2, 4),
+    "4-path": (0, 1, 2, 4, 6, 12),
+    "tailed-triangle": (0, 0, 1, 0, 4, 12),
+    "4-cycle": (0, 0, 0, 1, 1, 3),
+    "diamond": (0, 0, 0, 0, 1, 6),
+    "4-clique": (0, 0, 0, 0, 0, 1),
+}
+
+
+def _untyped_counts(g: HeteroGraph) -> dict[str, int]:
+    """Induced occurrences of every catalog skeleton, from exact identities.
+
+    Degrees d, triangles per edge t_e = (A^2)_uv and per node t_v, and the
+    off-diagonal entries of A^2 give the non-induced copies of each shape
+    (Ahmed, Neville, Rossi and Duffield, ICDM 2015; Pinar, Seshadhri and
+    Vishal, WWW 2017); back-substitution through ``_CONTAINED`` makes them
+    induced. Nothing is enumerated except the triangles of the 4-clique
+    term, whose number the identity T = sum(t_e) / 3 fixes. Every sum runs
+    over Python ints, so none wraps.
+    """
+    n = g.node_count
+    u, v = g.edge_array.T
+    a = sp.csr_matrix((np.ones(len(u), dtype=np.int64), (u, v)), shape=(n, n))
+    a = a + a.T
+    a2 = (a @ a).tocsr()
+    d = np.asarray(a.sum(axis=1)).ravel().astype(object)
+    te = np.asarray(a[u].multiply(a[v]).sum(axis=1)).ravel().astype(object)
+    tv = (np.asarray(a.multiply(a2).sum(axis=1)).ravel() // 2).astype(object)
+    common = sp.triu(a2, k=1).data.astype(object)
+    x, y, z = _triangles(g).T
+    triangles = te.sum() // 3
+    copies = {
+        "4-star": (d * (d - 1) * (d - 2) // 6).sum(),
+        "4-path": ((d[u] - 1) * (d[v] - 1)).sum() - 3 * triangles,
+        "tailed-triangle": (tv * (d - 2)).sum(),
+        "4-cycle": (common * (common - 1) // 2).sum() // 2,
+        "diamond": (te * (te - 1) // 2).sum(),
+        "4-clique": int(a[x].multiply(a[y]).multiply(a[z]).sum()) // 4,
+    }
+    counts = {"edge": len(u), "wedge": (d * (d - 1) // 2).sum() - 3 * triangles,
+              "triangle": triangles}
+    for name in reversed(_CONTAINED):
+        counts[name] = copies[name] - sum(c * counts[other] for other, c
+                                          in zip(_CONTAINED, _CONTAINED[name]) if c and other != name)
+    return {name: counts[name] for name in SKELETON_ORDER}
 
 
 def _brute_force_matches(g: HeteroGraph, sig: TypedGraphletSignature) -> list[tuple[int, ...]]:

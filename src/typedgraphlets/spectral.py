@@ -17,8 +17,7 @@ from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
     MotifMatrix,
     NormalizedLaplacian,
-    _motif_graphs,
-    _motif_matrix,
+    _motif_matrices,
     _typed_conductance,
     build_motif_matrix,
     build_normalized_laplacian,
@@ -292,8 +291,7 @@ def recursive_bipartition(
     """
     if target_k < 2:
         raise ValueError("target_k must be at least 2")
-    mm = build_motif_matrix(g, sig)
-    parts = [mm.covered_nodes()]
+    parts = [build_motif_matrix(g, sig).covered_nodes()]
     if not parts[0]:
         return PartitionResult([], True)
     splittable = [True]
@@ -303,7 +301,7 @@ def recursive_bipartition(
         inside = np.zeros(g.node_count, dtype=bool)
         inside[parts[idx]] = True
         try:
-            side = _cluster(_motif_matrix(mm, inside)).nodes
+            side = _cluster(_motif_matrices(g, [sig], inside)[0]).nodes
         except GraphletAbsentError:
             splittable[idx] = False
             continue
@@ -404,7 +402,8 @@ def rank_typed_graphlets(
     """
     ranked: list[MotifRank] = []
     skipped: list[TypedGraphletSignature] = []
-    graphs = _motif_graphs(g, sigs)
+    whole = np.ones(g.node_count, dtype=bool)
+    graphs = [mm.motif_graph for mm in _motif_matrices(g, sigs, whole)]
     for sig, gH, largest in zip(sigs, graphs, _largest_components(graphs)):
         if largest is None:
             skipped.append(sig)

@@ -11,6 +11,8 @@ from typedgraphlets import (
     planted_partition,
 )
 from typedgraphlets import graphlets
+from typedgraphlets.graphlets import instances_matching
+from typedgraphlets.motifmatrix import _row_graphs, _row_matrix
 
 
 def make_graph(n, edges, node_types=None, edge_types=None,
@@ -47,6 +49,37 @@ def random_graph(seed, n, p, n_type_count=1, e_type_count=1):
         [f"T{t}" for t in range(n_type_count)],
         [f"r{t}" for t in range(e_type_count)],
     )
+
+
+def block_graph(seed, n, avg_degree, blocks, n_type_count=1):
+    """Seeded typed graph with ``round(n * avg_degree / 2)`` distinct edges, drawn in O(m).
+
+    Node v lies in block ``v % blocks``. Nine draws in ten join two nodes of
+    one block and the rest join any two nodes, so small dense blocks give
+    the graph triangles and 4-cliques at any size. One edge type.
+    """
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < round(n * avg_degree / 2):
+        u = rng.randrange(n)
+        v = rng.randrange(u % blocks, n, blocks) if rng.random() < 0.9 else rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return HeteroGraph([f"n{i}" for i in range(n)], [rng.randrange(n_type_count) for _ in range(n)],
+                       sorted(edges), [0] * len(edges),
+                       [f"T{t}" for t in range(n_type_count)], ["r"])
+
+
+def row_route(g, sig, inside):
+    """The row route alone, as a reference for the motif-matrix seam.
+
+    W and cut count of ``sig`` over its occurrence rows that lie wholly
+    inside the boolean node mask ``inside``, from one ``_row_graphs`` call.
+    """
+    rows = instances_matching(g, sig)
+    rows = rows[inside[rows].all(axis=1)]
+    (gH,) = _row_graphs(g, rows, [0, len(rows)])
+    return _row_matrix(g, sig, gH, rows)
 
 
 def copy_graph(g):

@@ -37,6 +37,7 @@ from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _sig
 from conftest import (
     FOUR_NODE_ROUTES,
     barbell,
+    block_graph,
     copy_graph,
     count_four_node_routes,
     make_graph,
@@ -208,6 +209,40 @@ def test_census_totals_equal_untyped_counts():
         per_skel[sig.skeleton.name] = per_skel.get(sig.skeleton.name, 0) + count
     for name, total in per_skel.items():
         assert total == len(enumerate_instances(g, name))
+
+
+def test_tables_and_census_totals_equal_the_identity_counts_at_scale():
+    # 2,000 nodes are far beyond the subset scan; the identities count every
+    # shape exactly, so each route and each typing mode is checked in full.
+    g = block_graph(0, 2000, 6, 50, n_type_count=2)
+    want = oracles._untyped_counts(g)
+    assert min(want.values()) > 0 and all(type(c) is int for c in want.values()), want
+    assert {name: len(_occurrence_rows(g, skel)) for name, skel in SKELETONS.items()} == want
+    for mode in ("multiset", "set", "strict"):
+        totals = dict.fromkeys(SKELETON_ORDER, 0)
+        for sig, count in census(g, SKELETON_ORDER, mode).items():
+            totals[sig.skeleton.name] += count
+        assert totals == want, mode
+
+
+def test_identity_counts_enumerate_nothing_but_the_clique_triangles(monkeypatch):
+    g = random_graph(3, 14, 0.5)
+    want = oracles._untyped_counts(copy_graph(g))
+    calls = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an occurrence route was read")
+
+    def triangles(g, original=oracles._triangles):
+        calls.append(g)
+        return original(g)
+
+    for name in ("_occurrence_rows", "_wedges", "_four_paths", "_four_stars", "_four_cycles",
+                 "_triangle_shape_rows", "_triangles"):
+        monkeypatch.setattr(graphlets, name, refuse)
+    monkeypatch.setattr(oracles, "_triangles", triangles)
+    assert oracles._untyped_counts(g) == want
+    assert calls == [g]
 
 
 def test_census_matches_brute_force_per_signature():

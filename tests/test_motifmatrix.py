@@ -33,11 +33,12 @@ from typedgraphlets import (
     weighted_volume,
 )
 from typedgraphlets import graphlets, motifmatrix
-from typedgraphlets.graphlets import _TABLES, instances_matching
+from typedgraphlets.graphlets import _TABLES, _occurrence_rows, instances_matching
 from typedgraphlets.oracles import _induced_edges
-from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
+from typedgraphlets.motifmatrix import _motif_matrices
 
-from conftest import barbell, make_graph, random_graph, random_integer_weights
+from conftest import (barbell, copy_graph, make_graph, random_graph, random_integer_weights,
+                      row_route)
 
 
 def tri_sig():
@@ -435,12 +436,11 @@ def test_wedge_closed_form_equals_the_row_route_exactly():
         fast, slow = make_graph(n, edges), make_graph(n, edges)
         masks = [np.ones(n, dtype=bool)] + [
             np.array([rng.random() < 0.7 for _ in range(n)], dtype=bool) for _ in range(4)]
-        mm = build_motif_matrix(fast, sig)
-        parts = [mm] + [_motif_matrix(mm, inside) for inside in masks[1:]]
+        parts = [_motif_matrices(fast, [sig], inside)[0] for inside in masks]
         assert "wedge" not in _TABLES.get(fast, {})
         rows = instances_matching(slow, sig)
         for got, inside in zip(parts, masks):
-            want = _row_matrix(slow, sig, rows[inside[rows].all(axis=1)])
+            want = row_route(slow, sig, inside)
             assert list(got.weights.items()) == list(want.weights.items()), (n, edges)
             assert all(type(w) is int for w in got.weights.values())
             assert got.degrees.dtype == want.degrees.dtype
@@ -454,6 +454,57 @@ def test_wedge_closed_form_equals_the_row_route_exactly():
         tri = len(instances_matching(slow, tri_sig()))
         checked["no wedge" if not len(rows) else "no triangle" if not tri else "both"] += 1
     assert min(checked.values()) >= 5, checked
+
+
+def assert_same_motif_matrix(got, want, side):
+    assert got.signature == want.signature
+    for attr in ("pairs", "pair_weights", "degrees"):
+        a, b = getattr(got.motif_graph, attr), getattr(want.motif_graph, attr)
+        assert a.dtype == b.dtype and a.shape == b.shape and (a == b).all(), attr
+    assert list(got.weights.items()) == list(want.weights.items())
+    assert all(type(w) is int for w in got.weights.values())
+    for s in side:
+        assert got._cut(s) == want._cut(s)
+    assert got.instances.dtype == want.instances.dtype
+    assert np.array_equal(got.instances, want.instances)
+
+
+def test_one_batch_equals_single_calls_and_the_row_route():
+    # Every signature of a batch, on the whole graph and on random part
+    # masks, gets the matrix that a call of its own and the row route give:
+    # typed census signatures of every mode, every wildcard, a signature
+    # listed twice and one that is absent.
+    rng = np.random.default_rng(5)
+    for seed in range(3):
+        g = random_graph(700 + seed, 11 + seed, 0.35, n_type_count=2, e_type_count=2)
+        slow = copy_graph(g)
+        sigs = [sig for mode in ("multiset", "set", "strict") for sig in census(g, typing_mode=mode)]
+        sigs += [TypedGraphletSignature(skel, typing_mode=mode)
+                 for skel in SKELETONS.values() for mode in ("multiset", "strict")]
+        sigs += [sigs[3], TypedGraphletSignature(SKELETONS["triangle"], (0, 0, 0), (9, 9, 9))]
+        n = g.node_count
+        masks = [np.ones(n, dtype=bool)] + [rng.random(n) < 0.75 for _ in range(3)]
+        for inside in masks:
+            side = [rng.random(n) < 0.5 for _ in range(3)]
+            batch = _motif_matrices(g, sigs, inside)
+            assert len(batch) == len(sigs)
+            for sig, got in zip(sigs, batch):
+                assert_same_motif_matrix(got, _motif_matrices(g, [sig], inside)[0], side)
+                assert_same_motif_matrix(got, row_route(slow, sig, inside), side)
+        assert not len(batch[-1].motif_graph.pairs)
+
+
+def test_whole_graph_wildcard_rows_are_the_occurrence_table():
+    # A mask that keeps every node restricts nothing: the rows behind a
+    # whole-graph W are the cached table itself, never a copy of it. The
+    # wildcard wedge takes its closed form and makes its rows on demand.
+    g = random_graph(17, 16, 0.45, n_type_count=2)
+    for skel in SKELETONS.values():
+        if skel.name == "wedge":
+            continue
+        for mode in ("multiset", "set", "strict"):
+            mm = build_motif_matrix(g, TypedGraphletSignature(skel, typing_mode=mode))
+            assert len(mm.instances) and np.shares_memory(mm.instances, _occurrence_rows(g, skel))
 
 
 def test_cut_identity_matches_typed_cut_on_a_wedge_cluster():

@@ -26,16 +26,16 @@ from typedgraphlets import (
     connected_components,
     enumerate_all_instances,
     enumerate_instances,
-    instances_matching,
     load_typed_edge_list,
     permute_graph,
     signature_of,
 )
 from typedgraphlets.graphlets import _occurrence_rows
-from typedgraphlets.motifmatrix import _motif_matrix, _row_matrix
+from typedgraphlets.motifmatrix import _motif_matrices
+from typedgraphlets.oracles import _untyped_counts
 from typedgraphlets.spectral import _covered_components
 
-from conftest import FOUR_NODE_ROUTES, copy_graph
+from conftest import FOUR_NODE_ROUTES, copy_graph, row_route
 
 try:
     import networkx as nx
@@ -97,6 +97,13 @@ def test_census_and_motif_matrix_invariant_under_relabelling(g, rng):
             assert build_motif_matrix(h, sig).weights == moved
 
 
+@PROPERTY_SETTINGS
+@given(typed_graphs(max_nodes=11))
+def test_identity_counts_equal_the_subset_scan(g):
+    want = {name: len(rows) for name, rows in brute_force_all_instances(g).items()}
+    assert _untyped_counts(g) == want
+
+
 @st.composite
 def graphs_with_node_subsets(draw):
     g = draw(typed_graphs())
@@ -135,10 +142,9 @@ def test_wedge_closed_form_equals_the_row_route(case):
     g, inside, side = case
     copy = copy_graph(g)
     sig = TypedGraphletSignature(SKELETONS["wedge"])
-    mm = build_motif_matrix(g, sig)
-    rows = instances_matching(copy, sig)
-    for got, part in ((mm, rows), (_motif_matrix(mm, inside), rows[inside[rows].all(axis=1)])):
-        want = _row_matrix(copy, sig, part)
+    for inside in (np.ones(g.node_count, dtype=bool), inside):
+        got = _motif_matrices(g, [sig], inside)[0]
+        want = row_route(copy, sig, inside)
         assert list(got.weights.items()) == list(want.weights.items())
         assert all(type(w) is int for w in got.weights.values())
         assert got.degrees.dtype == want.degrees.dtype
