@@ -191,39 +191,29 @@ class ClusterResult:
     component_count: int
 
 
-def _covered_components(gH: WeightedGraph) -> list[list[int]]:
-    labels, count = connected_components(gH)
-    sizes = np.bincount(labels, minlength=count)
-    covered = np.flatnonzero(sizes[labels] >= 2)
-    members = covered[np.argsort(labels[covered], kind="stable")]
-    return [c.tolist() for c in np.split(members, np.cumsum(sizes[sizes >= 2]))[:-1]]
-
-
-def _largest_components(graphs: Sequence[WeightedGraph]) -> list[np.ndarray | None]:
-    """Nodes of the largest component of each graph, ascending; None for an empty graph.
+def _covered_components(graphs: Sequence[WeightedGraph]) -> list[list[list[int]]]:
+    """Each motif graph's components as ascending node lists, ordered by smallest node.
 
     One ``connected_components`` call labels the disjoint union of the
-    graphs, whose nodes are the covered (graph, node) pairs numbered densely
-    in that order, so memory follows the summed support. Labels follow each
-    component's smallest node, so of equally large components the one
-    holding the smallest node id wins, as in ``_covered_components`` order.
+    graphs' covered nodes, numbered densely in graph order, so memory
+    follows the summed support and each graph's components hold one run of
+    labels. An empty graph has no components.
     """
-    covered = [np.unique(gH.pairs) for gH in graphs]
+    covered = [np.flatnonzero(gH.degrees) for gH in graphs]
     start = np.cumsum([0] + [len(nodes) for nodes in covered])
-    pairs = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
-        lo + np.searchsorted(nodes, gH.pairs) for lo, nodes, gH in zip(start, covered, graphs)])
+    index = np.zeros(max((gH.node_count for gH in graphs), default=0), dtype=np.int64)
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for lo, nodes, gH in zip(start, covered, graphs):
+        index[nodes] = lo + np.arange(len(nodes))
+        blocks.append(index[gH.pairs])
+    pairs = np.concatenate(blocks)
     union = WeightedGraph.from_pairs(int(start[-1]), pairs, np.ones(len(pairs), dtype=np.int64))
-    labels = connected_components(union)[0]
-    largest: list[np.ndarray | None] = []
-    for lo, hi, nodes in zip(start[:-1], start[1:], covered):
-        if lo == hi:
-            largest.append(None)
-            continue
-        block = labels[lo:hi]
-        # A graph's smallest covered node holds the smallest of its labels.
-        best = block[0] + np.argmax(np.bincount(block - block[0]))
-        largest.append(nodes[block == best])
-    return largest
+    labels, count = connected_components(union)
+    members = np.concatenate([np.empty(0, dtype=np.int64)] + covered)
+    members = members[np.argsort(labels, kind="stable")]
+    comps = [c.tolist() for c in np.split(members, np.cumsum(np.bincount(labels))[:-1])]
+    cuts = np.append(labels, count)[start]
+    return [comps[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def _beta_factor(lambda2: float, edge_count: int) -> float:
@@ -249,7 +239,7 @@ def _cluster(mm: MotifMatrix) -> ClusterResult:
     if not len(mm.motif_graph.pairs):
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
-    comps = _covered_components(gH)
+    comps = _covered_components([gH])[0]
     lap = build_normalized_laplacian(gH, comps[0])
     second = smallest_eigenpairs(lap, 2)[1]
     if len(comps) == 1:
@@ -330,7 +320,7 @@ def spectral_ordering(g: HeteroGraph, sig: TypedGraphletSignature) -> OrderingRe
     if not len(mm.motif_graph.pairs):
         return OrderingResult(list(range(g.node_count)), False)
     gH = mm.induced_graph()
-    comps = _covered_components(gH)
+    comps = _covered_components([gH])[0]
     comps.sort(key=lambda c: (-len(c), c[0]))
     order: list[int] = []
     for comp in comps:
@@ -359,7 +349,7 @@ def spectral_embedding(
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     Z = np.zeros((g.node_count, dim), dtype=np.float64)
-    for comp in _covered_components(gH):
+    for comp in _covered_components([gH])[0]:
         lap = build_normalized_laplacian(gH, comp)
         offset = 1 if drop_trivial else 0
         d_eff = min(dim, lap.dim - offset)
@@ -395,20 +385,21 @@ def rank_typed_graphlets(
 
     The factor sqrt(8/lambda2) * |E(H)| favours small edge sets whose
     occurrences are well connected; lambda2 comes from the largest component
-    of each motif graph. The motif graphs are built in one pass per
-    skeleton and typing mode, and their components are labelled in one
-    pass. Absent signatures are skipped with a note rather than failing the
-    whole ranking.
+    of each motif graph, of equal ones the one holding the smallest node.
+    The motif graphs are built in one pass per skeleton and typing mode, and
+    one ``_covered_components`` call labels all their components. Absent
+    signatures are skipped with a note rather than failing the whole
+    ranking.
     """
     ranked: list[MotifRank] = []
     skipped: list[TypedGraphletSignature] = []
     whole = np.ones(g.node_count, dtype=bool)
     graphs = [mm.motif_graph for mm in _motif_matrices(g, sigs, whole)]
-    for sig, gH, largest in zip(sigs, graphs, _largest_components(graphs)):
-        if largest is None:
+    for sig, gH, comps in zip(sigs, graphs, _covered_components(graphs)):
+        if not comps:
             skipped.append(sig)
             continue
-        lap = build_normalized_laplacian(gH, largest)
+        lap = build_normalized_laplacian(gH, max(comps, key=len))
         lam2 = smallest_eigenpairs(lap, 2)[1].value
         ranked.append(
             MotifRank(sig, lam2, sig.skeleton.edge_count, _beta_factor(lam2, sig.skeleton.edge_count))

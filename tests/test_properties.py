@@ -1,7 +1,8 @@
 """Property tests: the graph constructor and parser, the enumerator and each
 4-node route against their oracles, relabelling invariance, the occurrences
-of an induced subgraph, and the closed-form wedge matrix against the
-occurrence rows.
+of an induced subgraph, the closed-form wedge matrix against the
+occurrence rows, and one batch of motif-graph components against single
+graphs.
 
 Examples are derandomised so every run checks the same graphs. The
 networkx oracles are skipped when networkx is not installed; the package
@@ -352,6 +353,16 @@ def test_parse_round_trip(g, flips, repeats, layout):
     assert_same_arrays(h.sorted_edge_keys[0], g.sorted_edge_keys[0])
 
 
+@PROPERTY_SETTINGS
+@given(typed_graphs())
+def test_one_component_batch_equals_single_graphs(g):
+    sigs = [TypedGraphletSignature(s) for s in SKELETONS.values()] + list(census(g))
+    graphs = [build_motif_matrix(g, sig).motif_graph for sig in sigs]
+    # Reversed and repeated, empty graphs sit between non-empty ones.
+    graphs += graphs[::-1]
+    assert _covered_components(graphs) == [_covered_components([gH])[0] for gH in graphs]
+
+
 # ------------------------------------------------------------ networkx oracles
 
 def networkx_graph(n, pairs):
@@ -383,4 +394,4 @@ def test_motif_graph_components_equal_networkx(g):
         assert count == len(comps)
         # Labels number the components by their smallest node id.
         assert [labels[c].tolist() for c in comps] == [[i] * len(c) for i, c in enumerate(comps)]
-        assert _covered_components(gH) == [c for c in comps if len(c) >= 2]
+        assert _covered_components([gH]) == [[c for c in comps if len(c) >= 2]]

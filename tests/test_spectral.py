@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -672,16 +674,18 @@ def test_rank_skips_absent_signatures():
 
 
 def per_signature_ranking(g, sigs):
-    """Reference: one motif matrix, component search and eigensolve per signature."""
+    """Reference: one motif matrix, component labelling and eigensolve per signature."""
     ranked, skipped = [], []
     for sig in sigs:
         mm = build_motif_matrix(g, sig)
         if not len(mm.motif_graph.pairs):
             skipped.append(sig)
             continue
-        comps = spectral._covered_components(mm.induced_graph())
-        comps.sort(key=lambda c: (-len(c), c[0]))
-        lap = build_normalized_laplacian(mm.induced_graph(), comps[0])
+        # The largest component from the public labels; argmax keeps the
+        # first of equal sizes, the one holding the smallest node.
+        labels = connected_components(mm.induced_graph())[0]
+        largest = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+        lap = build_normalized_laplacian(mm.induced_graph(), largest)
         lam2 = smallest_eigenpairs(lap, 2)[1].value
         ranked.append((sig, lam2, spectral._beta_factor(lam2, sig.skeleton.edge_count)))
     ranked.sort(key=lambda r: (r[2], r[0].skeleton.name, r[0].node_types or ()))
@@ -711,6 +715,74 @@ def test_grouped_ranking_equals_the_per_signature_loop():
     # The component holding node 0 wins the tie, so the two graphs differ.
     lam = [next(r.lambda2 for r in rank_typed_graphlets(g, [TRI_SIG]).ranked) for g in tied]
     assert lam[0] != lam[1]
+
+
+def test_cluster_reads_component_zero_and_the_ranking_the_largest_component():
+    # Edge (0, 1) plus a K4 on nodes 2..5: component 0 is the edge, the
+    # largest component the K4. The two lambda2 rules stay apart.
+    g = make_graph(6, [(0, 1)] + [(u, v) for u in range(2, 6) for v in range(u + 1, 6)])
+    res = cluster(g, EDGE_SIG)
+    assert res.lambda2 == pytest.approx(2.0, abs=1e-12)
+    assert res.beta == pytest.approx(2.0, abs=1e-12)
+    assert res.nodes == [0, 1]
+    ranked = rank_typed_graphlets(g, [EDGE_SIG]).ranked
+    assert [r.lambda2 for r in ranked] == [pytest.approx(4 / 3, abs=1e-12)]
+
+
+def unit_graph(n, edges):
+    return WeightedGraph(n, {e: 1 for e in edges})
+
+
+def test_covered_components_of_a_batch():
+    assert spectral._covered_components([]) == []
+    # Two equally large components; nodes 1, 3 and 8 lie in no pair.
+    tied = unit_graph(9, [(5, 6), (6, 7), (0, 2), (2, 4)])
+    empty = unit_graph(12, [])
+    pair = unit_graph(3, [(1, 2)])
+    comps = spectral._covered_components([pair, empty, tied, empty])
+    assert comps == [[[1, 2]], [], [[0, 2, 4], [5, 6, 7]], []]
+    assert comps == [spectral._covered_components([gH])[0] for gH in (pair, empty, tied, empty)]
+
+
+def _component_callers(tree, module):
+    """The innermost function holding each use of ``connected_components``.
+
+    A call or any other reference by name or attribute counts, and so does
+    an import that renames it.
+    """
+    callers = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{module}.{node.name}"
+        name = (node.asname and node.name if isinstance(node, ast.alias)
+                else getattr(node, "attr", getattr(node, "id", None)))
+        if isinstance(node, (ast.alias, ast.Name, ast.Attribute)) and name == "connected_components":
+            callers.append(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return callers
+
+
+def test_only_the_component_routine_calls_connected_components():
+    # One labelling route: graph.connected_components wraps scipy's, and
+    # spectral._covered_components is its one user in the package.
+    package = Path(spectral.__file__).parent
+    callers = sorted(caller for path in sorted(package.glob("*.py"))
+                     for caller in _component_callers(
+                         ast.parse(path.read_text(encoding="utf-8")), path.stem))
+    assert callers == ["graph.connected_components", "spectral._covered_components"]
+    for source in ("def f(g):\n    return connected_components(g)[0]",
+                   "def f(g):\n    return graph.connected_components(g)",
+                   "def f(g):\n    run = connected_components\n    return run(g)",
+                   "labels = connected_components(g)",
+                   "from .graph import connected_components as labelled"):
+        assert _component_callers(ast.parse(source), "m"), source
+    for source in ("from .graph import connected_components",
+                   "name = 'connected_components'", "def f(g):\n    return labels(g)"):
+        assert not _component_callers(ast.parse(source), "m"), source
 
 
 def test_beta_monotone_in_edge_count():
