@@ -85,14 +85,22 @@ class NormalizedLaplacian:
     """I - D^{-1/2} W D^{-1/2} restricted to positive-degree nodes.
 
     ``nodes[i]`` maps restricted row i back to the original node id.
+    ``build_normalized_laplacian`` gives a CSR ``matrix``; the spectral
+    layer's per-component builder gives a dense ``ndarray`` block below the
+    dense-solver threshold, with the same entries, and CSR at or above it.
     """
 
-    matrix: sp.csr_matrix
+    matrix: np.ndarray | sp.csr_matrix
     nodes: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+
+def _dense(lap: NormalizedLaplacian) -> np.ndarray:
+    """``lap.matrix`` as a dense array; a dense block is returned as it is."""
+    return lap.matrix.toarray() if sp.issparse(lap.matrix) else lap.matrix
 
 
 def build_motif_matrix(g: HeteroGraph, sig: TypedGraphletSignature) -> MotifMatrix:
@@ -121,7 +129,7 @@ def _motif_matrices(g: HeteroGraph, sigs: Sequence[TypedGraphletSignature],
     for group in groups.values():
         rows, owner = _rows_matching(g, list(group))
         if not whole:
-            held = inside[rows].all(axis=1)
+            held = np.logical_and.reduce([inside[column] for column in rows.T])
             rows, owner = rows[held], owner[held]
         bounds = np.searchsorted(owner, np.arange(len(group) + 1))
         graphs = _row_graphs(g, rows, bounds)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -17,10 +17,10 @@ from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
     MotifMatrix,
     NormalizedLaplacian,
+    _dense,
     _motif_matrices,
     _typed_conductance,
     build_motif_matrix,
-    build_normalized_laplacian,
 )
 
 DENSE_SOLVER_THRESHOLD = 512
@@ -36,13 +36,13 @@ class EigenPair:
     vector: np.ndarray
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Deterministic sign: the largest-magnitude entry is positive.
+def _fix_signs(vecs: np.ndarray) -> np.ndarray:
+    """Deterministic signs: each column's largest-magnitude entry is positive.
 
     Ties on magnitude resolve to the lowest index (argmax returns the first).
     """
-    idx = int(np.argmax(np.abs(vec)))
-    return -vec if vec[idx] < 0 else vec
+    top = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    return vecs * np.where(top < 0, -1.0, 1.0)
 
 
 def smallest_eigenpairs(
@@ -50,23 +50,25 @@ def smallest_eigenpairs(
 ) -> list[EigenPair]:
     """The k smallest eigenpairs of a normalized Laplacian, ascending.
 
-    Below ``dense_threshold`` rows the full symmetric decomposition runs;
-    larger systems use a Lanczos-type Krylov solve on 2I - L (spectrum lies
-    in [0, 2], so the smallest eigenvalues of L are the largest of the
-    shifted operator) with a fixed-seed start vector; a solve that does not
-    converge is retried once with more room before it fails. Every returned
-    pair is checked against the residual bound.
+    Below ``dense_threshold`` rows the full symmetric decomposition runs on
+    the dense block; larger systems use a Lanczos-type Krylov solve on
+    2I - L (spectrum lies in [0, 2], so the smallest eigenvalues of L are
+    the largest of the shifted operator) with a fixed-seed start vector; a
+    solve that does not converge is retried once with more room before it
+    fails. One product checks every returned pair against the residual
+    bound, and the first pair in order that misses it raises.
     """
     dim = lap.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     if dim < dense_threshold or k > dim - 2:
-        dense = lap.matrix.toarray()
-        vals, vecs = np.linalg.eigh(dense)
+        matrix = _dense(lap)
+        vals, vecs = np.linalg.eigh(matrix)
         vals = vals[:k]
         vecs = vecs[:, :k]
     else:
-        shifted = 2.0 * sp.identity(dim, format="csr") - lap.matrix
+        matrix = lap.matrix
+        shifted = 2.0 * sp.identity(dim, format="csr") - matrix
         rng = np.random.default_rng(_ITERATIVE_SEED)
         v0 = rng.standard_normal(dim)
         try:
@@ -82,7 +84,7 @@ def smallest_eigenpairs(
             residual = None
             if exc.eigenvalues is not None and len(exc.eigenvalues):
                 lam_part = 2.0 - exc.eigenvalues
-                res = lap.matrix @ exc.eigenvectors - exc.eigenvectors * lam_part
+                res = matrix @ exc.eigenvectors - exc.eigenvectors * lam_part
                 residual = float(np.abs(res).max())
             raise EigenConvergenceError(
                 f"eigensolver did not converge for {k} pairs at dimension {dim}",
@@ -92,17 +94,14 @@ def smallest_eigenpairs(
         order = np.argsort(vals, kind="stable")
         vals = vals[order]
         vecs = vecs[:, order]
-    pairs = []
-    for i in range(k):
-        vec = _fix_sign(np.asarray(vecs[:, i], dtype=np.float64))
-        lam = float(vals[i])
-        res = float(np.linalg.norm(lap.matrix @ vec - lam * vec))
+    vecs = _fix_signs(vecs)
+    vals = vals.tolist()
+    for lam, res in zip(vals, np.linalg.norm(matrix @ vecs - vecs * vals, axis=0).tolist()):
         if res > RESIDUAL_TOL * max(1.0, abs(lam)):
             raise EigenConvergenceError(
                 f"eigenpair residual {res:.3e} exceeds tolerance", residual=res
             )
-        pairs.append(EigenPair(lam, vec))
-    return pairs
+    return [EigenPair(lam, vec) for lam, vec in zip(vals, vecs.T)]
 
 
 @dataclass
@@ -216,6 +215,64 @@ def _covered_components(graphs: Sequence[WeightedGraph]) -> list[list[list[int]]
     return [comps[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
+def _laplacians(gH: WeightedGraph,
+                comps: Sequence[Sequence[int]]) -> Iterator[NormalizedLaplacian]:
+    """The normalized Laplacian of each component in ``comps``, in order, from one pass.
+
+    Each equals ``build_normalized_laplacian(gH, comp)`` entry for entry:
+    every pair of a component's nodes lies inside it, so ``gH.degrees``
+    holds its degrees, and each value is ``-w * inv_sqrt[u] * inv_sqrt[v]``
+    in the same operand order. D^{-1/2} is taken once. One stable sort
+    groups the pairs of the components below ``DENSE_SOLVER_THRESHOLD``
+    rows; pairs of other components keep label -1 and sort ahead of every
+    group. Blocks are made one at a time as the caller iterates, so while
+    it solves one, only the small components' sort order and two node
+    arrays are held here.
+    """
+    n = gH.node_count
+    label, index, inv_sqrt = np.full(n, -1), np.zeros(n, dtype=np.int64), np.zeros(n)
+    covered = gH.degrees > 0
+    inv_sqrt[covered] = 1.0 / np.sqrt(gH.degrees[covered])
+    nodes = [np.asarray(comp, dtype=np.int64) for comp in comps]
+    for j, comp in enumerate(nodes):
+        index[comp] = np.arange(len(comp))
+        if len(comp) < DENSE_SOLVER_THRESHOLD:
+            label[comp] = j
+    owner = label[gH.pairs[:, 0]]
+    order = np.flatnonzero(owner >= 0)
+    order = order[np.argsort(owner[order], kind="stable")]
+    bounds = np.searchsorted(owner[order], np.arange(len(nodes) + 1))
+    del label, covered, owner
+    for comp, lo, hi in zip(nodes, bounds, bounds[1:]):
+        yield NormalizedLaplacian(_block(gH, comp, order[lo:hi], index, inv_sqrt), comp)
+
+
+def _block(gH: WeightedGraph, comp: np.ndarray, sel: np.ndarray, index: np.ndarray,
+           inv_sqrt: np.ndarray) -> np.ndarray | sp.csr_matrix:
+    """The Laplacian block of one component whose pairs are ``gH.pairs[sel]``.
+
+    Below ``DENSE_SOLVER_THRESHOLD`` rows it is dense, filled by scattering
+    the pairs' values. A larger component is found among the pairs by a
+    node mask, as ``build_normalized_laplacian`` does, and built as CSR for
+    the Krylov path.
+    """
+    dim = len(comp)
+    if dim >= DENSE_SOLVER_THRESHOLD:
+        inside = np.zeros(gH.node_count, dtype=bool)
+        inside[comp] = True
+        sel = np.flatnonzero(inside[gH.pairs[:, 0]])
+    u, v = gH.pairs[sel].T
+    x = -gH.pair_weights[sel] * inv_sqrt[u] * inv_sqrt[v]
+    a, b = index[u], index[v]
+    if dim < DENSE_SOLVER_THRESHOLD:
+        block = np.eye(dim)
+        block[a, b] = block[b, a] = x
+        return block
+    diag = np.arange(dim)
+    return sp.csr_matrix((np.r_[np.ones(dim), x, x], (np.r_[diag, a, b], np.r_[diag, b, a])),
+                         shape=(dim, dim))
+
+
 def _beta_factor(lambda2: float, edge_count: int) -> float:
     if lambda2 <= 1e-14:
         return math.inf
@@ -240,7 +297,7 @@ def _cluster(mm: MotifMatrix) -> ClusterResult:
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     comps = _covered_components([gH])[0]
-    lap = build_normalized_laplacian(gH, comps[0])
+    lap, = _laplacians(gH, comps[:1])
     second = smallest_eigenpairs(lap, 2)[1]
     if len(comps) == 1:
         sweep = sweep_cut(gH, second.vector, nodes=lap.nodes)
@@ -323,8 +380,7 @@ def spectral_ordering(g: HeteroGraph, sig: TypedGraphletSignature) -> OrderingRe
     comps = _covered_components([gH])[0]
     comps.sort(key=lambda c: (-len(c), c[0]))
     order: list[int] = []
-    for comp in comps:
-        lap = build_normalized_laplacian(gH, comp)
+    for lap in _laplacians(gH, comps):
         v2 = smallest_eigenpairs(lap, 2)[1].vector
         order.extend(lap.nodes[np.argsort(v2, kind="stable")].tolist())
     order.extend(mm.uncovered_nodes())
@@ -349,8 +405,7 @@ def spectral_embedding(
         raise GraphletAbsentError("typed graphlet has no instance in the graph")
     gH = mm.induced_graph()
     Z = np.zeros((g.node_count, dim), dtype=np.float64)
-    for comp in _covered_components([gH])[0]:
-        lap = build_normalized_laplacian(gH, comp)
+    for lap in _laplacians(gH, _covered_components([gH])[0]):
         offset = 1 if drop_trivial else 0
         d_eff = min(dim, lap.dim - offset)
         pairs = smallest_eigenpairs(lap, d_eff + offset)
@@ -399,7 +454,7 @@ def rank_typed_graphlets(
         if not comps:
             skipped.append(sig)
             continue
-        lap = build_normalized_laplacian(gH, max(comps, key=len))
+        lap, = _laplacians(gH, [max(comps, key=len)])
         lam2 = smallest_eigenpairs(lap, 2)[1].value
         ranked.append(
             MotifRank(sig, lam2, sig.skeleton.edge_count, _beta_factor(lam2, sig.skeleton.edge_count))

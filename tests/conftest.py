@@ -2,15 +2,17 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from typedgraphlets import (
     HeteroGraph,
     WeightedGraph,
+    build_normalized_laplacian,
     census,
     connected_components,
     planted_partition,
 )
-from typedgraphlets import graphlets
+from typedgraphlets import graphlets, spectral
 from typedgraphlets.graphlets import instances_matching
 from typedgraphlets.motifmatrix import _row_graphs, _row_matrix
 
@@ -247,3 +249,26 @@ def graph_to_edge_list_text(g):
         if v not in touched:
             lines.append(f"%node {g.node_names[v]} {g.node_type_names[g.node_types[v]]}")
     return "\n".join(lines) + "\n"
+
+
+def assert_reference_laplacians(gH, comps):
+    """The one-pass blocks of ``comps`` equal the per-component reference builds.
+
+    A block below the dense threshold is a dense array equal, entry for
+    entry and in its bytes, to ``build_normalized_laplacian(gH, comp)``
+    made dense; a larger one is the reference's CSR matrix itself.
+    """
+    laps = list(spectral._laplacians(gH, comps))
+    assert len(laps) == len(comps)
+    for lap, comp in zip(laps, comps):
+        ref = build_normalized_laplacian(gH, comp)
+        assert lap.nodes.dtype == ref.nodes.dtype and np.array_equal(lap.nodes, ref.nodes)
+        if len(comp) < spectral.DENSE_SOLVER_THRESHOLD:
+            want = ref.matrix.toarray()
+            assert type(lap.matrix) is np.ndarray and lap.matrix.shape == want.shape
+            assert (lap.matrix == want).all() and lap.matrix.tobytes() == want.tobytes()
+        else:
+            assert sp.issparse(lap.matrix)
+            for part in ("indptr", "indices", "data"):
+                got, want = getattr(lap.matrix, part), getattr(ref.matrix, part)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -9,13 +9,17 @@ from typedgraphlets import (
     EdgeListFormatError,
     LinkPredResult,
     MetricsReport,
+    build_normalized_laplacian,
     cli,
     load_typed_edge_list,
     parse_signature_spec,
     read_typed_edge_list,
+    spectral,
     spectral_embedding,
 )
 from typedgraphlets.cli import main
+
+from conftest import block_graph, graph_to_edge_list_text
 
 BARBELL_FILE = """# two typed triangles joined by a bridge
 a b U U e
@@ -580,3 +584,42 @@ def test_repeated_runs_byte_identical(tmp_path, capsys):
         outs.append(out)
     for fname in ("cluster.txt", "summary.txt", "uncovered.txt", "motif_matrix.txt"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+def per_component_laplacians(gH, comps):
+    """The reference route: one ``build_normalized_laplacian`` per component."""
+    return [build_normalized_laplacian(gH, comp) for comp in comps]
+
+
+@pytest.mark.parametrize("threshold", [spectral.DENSE_SOLVER_THRESHOLD, 5])
+def test_one_pass_laplacians_leave_every_command_byte_identical(tmp_path, capsys, monkeypatch,
+                                                                 threshold):
+    # Each command runs once on the one-pass blocks and once on the
+    # per-component builds. Exit code, stdout, stderr and every artifact
+    # must be the same bytes, at the real dense threshold and at one patched
+    # down so that most components take the Krylov path.
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", threshold)
+    monkeypatch.setattr(spectral.smallest_eigenpairs, "__defaults__", (threshold,))
+    one_pass = spectral._laplacians
+    for seed, n, blocks, types in ((1, 12, 2, 1), (2, 60, 6, 2), (3, 200, 10, 3)):
+        g = block_graph(seed, n, 5, blocks, types)
+        path = write_input(tmp_path, graph_to_edge_list_text(g), f"g{seed}.txt")
+        low, high = g.node_type_names[0], g.node_type_names[-1]
+        runs = [["rank-motifs"], ["partition", "--motif", "triangle", "--parts", "4"],
+                ["partition", "--motif", f"wedge:{low},{high},{low}", "--parts", "3"]]
+        for motif in ("edge", "triangle", f"triangle:{low},{low},{high}", f"4-path:{low},{high},{high},{low}"):
+            runs += [["order", "--motif", motif], ["cluster", "--motif", motif],
+                     ["embed", "--motif", motif, "--dim", "3"]]
+        for argv in runs:
+            seen = []
+            for route in (one_pass, per_component_laplacians):
+                monkeypatch.setattr(spectral, "_laplacians", route)
+                out = tmp_path / "out"
+                code = main(argv + ["--input", path, "--output-dir", str(out)])
+                captured = capsys.readouterr()
+                seen.append((code, captured.out, captured.err,
+                             {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
+                for f in out.iterdir():
+                    f.unlink()
+            assert seen[0] == seen[1], (seed, argv)
+            assert seen[0][0] == 0, (seed, argv)

@@ -1,8 +1,8 @@
 """Property tests: the graph constructor and parser, the enumerator and each
 4-node route against their oracles, relabelling invariance, the occurrences
 of an induced subgraph, the closed-form wedge matrix against the
-occurrence rows, and one batch of motif-graph components against single
-graphs.
+occurrence rows, one batch of motif-graph components against single
+graphs, and the one-pass Laplacian blocks against the per-component builds.
 
 Examples are derandomised so every run checks the same graphs. The
 networkx oracles are skipped when networkx is not installed; the package
@@ -10,6 +10,7 @@ never depends on it.
 """
 
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from typedgraphlets import (
     HeteroGraph,
     SKELETONS,
     TypedGraphletSignature,
+    WeightedGraph,
     brute_force_all_instances,
     build_motif_matrix,
     census,
@@ -34,9 +36,10 @@ from typedgraphlets import (
 from typedgraphlets.graphlets import _occurrence_rows
 from typedgraphlets.motifmatrix import _motif_matrices
 from typedgraphlets.oracles import _untyped_counts
+from typedgraphlets import spectral
 from typedgraphlets.spectral import _covered_components
 
-from conftest import FOUR_NODE_ROUTES, copy_graph, row_route
+from conftest import FOUR_NODE_ROUTES, assert_reference_laplacians, copy_graph, row_route
 
 try:
     import networkx as nx
@@ -361,6 +364,29 @@ def test_one_component_batch_equals_single_graphs(g):
     # Reversed and repeated, empty graphs sit between non-empty ones.
     graphs += graphs[::-1]
     assert _covered_components(graphs) == [_covered_components([gH])[0] for gH in graphs]
+
+
+@st.composite
+def weighted_graphs(draw, max_nodes=16):
+    """A weighted graph with integral or non-integral weights and isolated nodes."""
+    n = draw(st.integers(0, max_nodes))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kept = [pair for pair in pairs if draw(st.integers(0, 3)) == 0]
+    weight = st.integers(1, 6) | st.floats(0.05, 9.0) if draw(st.booleans()) else st.integers(1, 6)
+    return WeightedGraph(n, {pair: draw(weight) for pair in kept})
+
+
+@PROPERTY_SETTINGS
+@given(weighted_graphs(), st.sampled_from([spectral.DENSE_SOLVER_THRESHOLD, 2, 3, 4]),
+       st.lists(st.integers(0, 15), unique=True))
+def test_one_pass_laplacians_equal_the_per_component_builds(gH, threshold, picks):
+    comps = _covered_components([gH])[0]
+    # Every component, component 0 alone, the largest alone, and some in any order.
+    requests = [comps, comps[:1], [max(comps, key=len)] if comps else [],
+                [comps[i] for i in picks if i < len(comps)]]
+    with mock.patch.object(spectral, "DENSE_SOLVER_THRESHOLD", threshold):
+        for request in requests:
+            assert_reference_laplacians(gH, request)
 
 
 # ------------------------------------------------------------ networkx oracles

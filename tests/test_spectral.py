@@ -6,10 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import typedgraphlets.spectral as spectral
 from typedgraphlets import (
     ClusterResult,
+    EigenConvergenceError,
     GraphletAbsentError,
     HeteroGraph,
     PartitionResult,
@@ -42,6 +44,7 @@ from typedgraphlets import (
 
 from conftest import (
     FOUR_NODE_ROUTES,
+    assert_reference_laplacians,
     barbell,
     connected_random_graph,
     copy_graph,
@@ -177,6 +180,77 @@ def test_nonconvergence_after_the_retry_is_an_error(monkeypatch):
     with pytest.raises(EigenConvergenceError):
         smallest_eigenpairs(lap, 2, dense_threshold=1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("route, threshold", [("dense", 10_000), ("krylov", 1)])
+@pytest.mark.parametrize("shifts, first", [({1: 1e-4, 2: 1e-1}, 1), ({2: 1e-4}, 2),
+                                            ({1: 1e-1, 2: 1e-4}, 1)])
+def test_residual_check_raises_on_the_first_failing_pair(monkeypatch, route, threshold,
+                                                          shifts, first):
+    # The solver returns pair i with its vector moved by shifts[i]; the one
+    # residual product must report the first pair in order that fails.
+    lap = edge_laplacian(connected_random_graph(51, 30, 0.3))
+    real = np.linalg.eigh if route == "dense" else spla.eigsh
+    moved = {}
+
+    def solve(*args, **kwargs):
+        vals, vecs = real(*args, **kwargs)
+        lam = vals if route == "dense" else 2.0 - vals
+        cols = np.argsort(lam, kind="stable")
+        vecs = vecs.copy()
+        for i, shift in shifts.items():
+            vecs[0, cols[i]] += shift
+            moved[i] = (lam[cols[i]], vecs[:, cols[i]].copy())
+        return vals, vecs
+
+    monkeypatch.setattr("numpy.linalg.eigh" if route == "dense" else
+                        "typedgraphlets.spectral.spla.eigsh", solve)
+    with pytest.raises(EigenConvergenceError) as info:
+        smallest_eigenpairs(lap, 3, dense_threshold=threshold)
+    lam, vec = moved[first]
+    want = np.linalg.norm(lap.matrix.toarray() @ vec - lam * vec)
+    assert info.value.residual is not None
+    assert info.value.residual == pytest.approx(want, rel=1e-9)
+
+
+# ---------------------------------------------------------------- one-pass Laplacians
+
+def many_components(weight):
+    """Components of 2, 3, 3, 4 and 6 nodes; nodes 2, 9 and 20 lie in no pair."""
+    edges = [(0, 1), (3, 4), (4, 5), (6, 7), (7, 8), (6, 8),
+             (10, 11), (11, 12), (12, 13), (10, 13), (10, 12)]
+    edges += [(14 + i, 14 + j) for i, j in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4))]
+    return WeightedGraph(21, {e: weight(i) for i, e in enumerate(edges)})
+
+
+@pytest.mark.parametrize("weight", [lambda i: 1 + i % 3, lambda i: 0.3 + i / 7])
+def test_one_pass_laplacians_equal_the_per_component_builds(weight):
+    gH = many_components(weight)
+    comps = spectral._covered_components([gH])[0]
+    assert [len(c) for c in comps] == [2, 3, 3, 4, 6]
+    # Asking for some components only must leave the others' pairs out of
+    # every block: the largest alone, component 0 alone, two out of order.
+    for request in (comps, [comps[-1]], comps[:1], [comps[3], comps[1]], []):
+        assert_reference_laplacians(gH, request)
+
+
+def test_one_pass_laplacians_on_each_side_of_the_dense_threshold(monkeypatch):
+    # The solver's default threshold is bound at definition, so both places
+    # that read it are patched. Components of 2 and 3 nodes stay dense, the
+    # others go sparse to the Krylov path, and every pair is bit-equal to
+    # the reference route's.
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 4)
+    monkeypatch.setattr(spectral.smallest_eigenpairs, "__defaults__", (4,))
+    gH = many_components(lambda i: 0.3 + i / 7)
+    comps = spectral._covered_components([gH])[0]
+    assert_reference_laplacians(gH, comps)
+    laps = list(spectral._laplacians(gH, comps))
+    assert [isinstance(lap.matrix, np.ndarray) for lap in laps] == [True] * 3 + [False] * 2
+    for lap, comp in zip(laps, comps):
+        got = smallest_eigenpairs(lap, 2)
+        want = smallest_eigenpairs(build_normalized_laplacian(gH, comp), 2)
+        assert [p.value for p in got] == [p.value for p in want]
+        assert all(a.vector.tobytes() == b.vector.tobytes() for a, b in zip(got, want))
 
 
 # ---------------------------------------------------------------- sweep cut
@@ -744,26 +818,26 @@ def test_covered_components_of_a_batch():
     assert comps == [spectral._covered_components([gH])[0] for gH in (pair, empty, tied, empty)]
 
 
-def _component_callers(tree, module):
-    """The innermost function holding each use of ``connected_components``.
+def _users(tree, module, name):
+    """The innermost function holding each use of ``name``.
 
     A call or any other reference by name or attribute counts, and so does
     an import that renames it.
     """
-    callers = []
+    users = []
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = f"{module}.{node.name}"
-        name = (node.asname and node.name if isinstance(node, ast.alias)
-                else getattr(node, "attr", getattr(node, "id", None)))
-        if isinstance(node, (ast.alias, ast.Name, ast.Attribute)) and name == "connected_components":
-            callers.append(owner)
+        found = (node.asname and node.name if isinstance(node, ast.alias)
+                 else getattr(node, "attr", getattr(node, "id", None)))
+        if isinstance(node, (ast.alias, ast.Name, ast.Attribute)) and found == name:
+            users.append(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(tree, module)
-    return callers
+    return users
 
 
 def test_only_the_component_routine_calls_connected_components():
@@ -771,18 +845,35 @@ def test_only_the_component_routine_calls_connected_components():
     # spectral._covered_components is its one user in the package.
     package = Path(spectral.__file__).parent
     callers = sorted(caller for path in sorted(package.glob("*.py"))
-                     for caller in _component_callers(
-                         ast.parse(path.read_text(encoding="utf-8")), path.stem))
+                     for caller in _users(ast.parse(path.read_text(encoding="utf-8")),
+                                         path.stem, "connected_components"))
     assert callers == ["graph.connected_components", "spectral._covered_components"]
     for source in ("def f(g):\n    return connected_components(g)[0]",
                    "def f(g):\n    return graph.connected_components(g)",
                    "def f(g):\n    run = connected_components\n    return run(g)",
                    "labels = connected_components(g)",
                    "from .graph import connected_components as labelled"):
-        assert _component_callers(ast.parse(source), "m"), source
+        assert _users(ast.parse(source), "m", "connected_components"), source
     for source in ("from .graph import connected_components",
                    "name = 'connected_components'", "def f(g):\n    return labels(g)"):
-        assert not _component_callers(ast.parse(source), "m"), source
+        assert not _users(ast.parse(source), "m", "connected_components"), source
+
+
+def test_the_spectral_layer_builds_laplacians_only_in_one_pass():
+    # spectral._laplacians is the layer's one Laplacian route: no
+    # per-component reference build, and no sparse matrix made dense.
+    tree = ast.parse(Path(spectral.__file__).read_text(encoding="utf-8"))
+    assert _users(tree, "spectral", "build_normalized_laplacian") == []
+    assert _users(tree, "spectral", "toarray") == []
+    assert sorted(_users(tree, "spectral", "_laplacians")) == [
+        "spectral._cluster", "spectral.rank_typed_graphlets",
+        "spectral.spectral_embedding", "spectral.spectral_ordering"]
+    for source, name in (("def f(l):\n    return l.matrix.toarray()", "toarray"),
+                         ("from .motifmatrix import build_normalized_laplacian as build",
+                          "build_normalized_laplacian"),
+                         ("def f(g):\n    return motifmatrix.build_normalized_laplacian(g)",
+                          "build_normalized_laplacian")):
+        assert _users(ast.parse(source), "m", name), source
 
 
 def test_beta_monotone_in_edge_count():
