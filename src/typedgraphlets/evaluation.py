@@ -14,8 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ZeroVolumeError
-from .graph import HeteroGraph, _check_bijection, _csr, _validate_cut, permute_graph
+from .graph import HeteroGraph, _check_bijection, _conductance, _csr, _validate_cut, permute_graph
 from .graphlets import TypedGraphletSignature
 from .spectral import spectral_embedding
 
@@ -43,16 +42,9 @@ def external_conductance(g: HeteroGraph, s: Iterable[int]) -> Fraction:
     entirely and measures how well the cluster separates in raw edges.
     """
     side = _validate_cut(g.node_count, s)
-    inside = np.zeros(g.node_count, dtype=bool)
-    inside[list(side)] = True
-    ends = inside[g.edge_array]
-    cut = int(np.count_nonzero(ends[:, 0] != ends[:, 1]))
-    vol_s = int(g.degrees[inside].sum())
-    vol_rest = int(g.degrees.sum()) - vol_s
-    denom = min(vol_s, vol_rest)
-    if denom == 0:
-        raise ZeroVolumeError("one side of the cut has zero volume")
-    return Fraction(cut, denom)
+    ends = side[g.edge_array]
+    return _conductance(int(np.count_nonzero(ends[:, 0] != ends[:, 1])),
+                        int(g.degrees[side].sum()), int(g.degrees.sum()), "has zero volume")
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from typing import Collection, Iterable, Mapping, Sequence
@@ -10,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import csgraph
 
-from .errors import DegenerateCutError, EdgeListFormatError
+from .errors import DegenerateCutError, EdgeListFormatError, ZeroVolumeError
 
 # Label used when the input carries no edge-type column.
 DEFAULT_EDGE_TYPE = "-"
@@ -375,12 +376,29 @@ def _check_node_ids(node_count: int, ids: Collection[int]) -> None:
                 raise ValueError(f"node id {v} out of range")
 
 
-def _validate_cut(node_count: int, s: Iterable[int]) -> frozenset:
-    side = frozenset(s)
-    _check_node_ids(node_count, side)
-    if not side or len(side) == node_count:
+def _validate_cut(node_count: int, s: Iterable[int]) -> np.ndarray:
+    """The side ``s`` of a cut as a boolean node mask.
+
+    ``s`` is any iterable of node ids, repeats allowed, and is read once.
+    An id outside ``0..node_count-1`` raises ValueError; then a side that is
+    empty or holds every node raises DegenerateCutError.
+    """
+    ids = np.fromiter(s, dtype=np.int64)
+    _check_node_ids(node_count, ids.tolist())
+    side = np.zeros(node_count, dtype=bool)
+    side[ids] = True
+    if not 0 < np.count_nonzero(side) < node_count:
         raise DegenerateCutError("cut requires both sides nonempty")
     return side
+
+
+def _conductance(cut: int, vol_s: int, total: int, what: str) -> Fraction:
+    """``cut`` over the smaller side's volume, exact; ``total`` is both sides'
+    volume. A side of zero volume raises ZeroVolumeError ending in ``what``."""
+    denom = min(vol_s, total - vol_s)
+    if denom == 0:
+        raise ZeroVolumeError(f"one side of the cut {what}")
+    return Fraction(cut, denom)
 
 
 def _check_bijection(order: Sequence[int], n: int) -> None:

@@ -25,8 +25,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import GraphletAbsentError, ZeroVolumeError
-from .graph import HeteroGraph, WeightedGraph, _validate_cut
+from .errors import GraphletAbsentError
+from .graph import HeteroGraph, WeightedGraph, _conductance, _validate_cut
 from .graphlets import (
     SKELETONS,
     TypedGraphletSignature,
@@ -115,28 +115,27 @@ def _motif_matrices(g: HeteroGraph, sigs: Sequence[TypedGraphletSignature],
     They are exactly the occurrences of the subgraph the mask induces. A
     wildcard wedge takes its closed form. The other signatures are grouped
     by (skeleton, typing mode), and one ``_row_graphs`` call fills the Ws of
-    a group's distinct signatures. A mask that keeps every node restricts
-    nothing, so a lone wildcard's rows stay the occurrence table itself.
+    a group's signatures, a signature listed twice getting a run of its own.
+    A mask that keeps every node restricts nothing, so a lone wildcard's
+    rows stay the occurrence table itself.
     """
     out: list = [None] * len(sigs)
-    groups: dict[tuple, dict[TypedGraphletSignature, list[int]]] = {}
+    groups: dict[tuple, list[int]] = {}
     for i, sig in enumerate(sigs):
         if sig.is_wildcard and sig.skeleton.name == "wedge":
             out[i] = _wedge_matrix(g, sig, inside)
         else:
-            groups.setdefault((sig.skeleton, sig.typing_mode), {}).setdefault(sig, []).append(i)
+            groups.setdefault((sig.skeleton, sig.typing_mode), []).append(i)
     whole = inside.all()
-    for group in groups.values():
-        rows, owner = _rows_matching(g, list(group))
+    for at in groups.values():
+        rows, owner = _rows_matching(g, [sigs[i] for i in at])
         if not whole:
             held = np.logical_and.reduce([inside[column] for column in rows.T])
             rows, owner = rows[held], owner[held]
-        bounds = np.searchsorted(owner, np.arange(len(group) + 1))
+        bounds = np.searchsorted(owner, np.arange(len(at) + 1))
         graphs = _row_graphs(g, rows, bounds)
-        for (sig, at), gH, lo, hi in zip(group.items(), graphs, bounds, bounds[1:]):
-            mm = _row_matrix(g, sig, gH, rows[lo:hi])
-            for i in at:
-                out[i] = mm
+        for i, gH, lo, hi in zip(at, graphs, bounds, bounds[1:]):
+            out[i] = _row_matrix(g, sigs[i], gH, rows[lo:hi])
     return out
 
 
@@ -204,12 +203,6 @@ def _wedge_matrix(g: HeteroGraph, sig: TypedGraphletSignature, inside: np.ndarra
                        lambda side: total - count(side) - count(~side))
 
 
-def _side_mask(n: int, side: frozenset) -> np.ndarray:
-    mask = np.zeros(n, dtype=bool)
-    mask[np.fromiter(side, np.int64, len(side))] = True
-    return mask
-
-
 def _instance_cut(rows: np.ndarray, side: np.ndarray) -> int:
     """Occurrence rows with nodes on both sides of a boolean node mask."""
     inside = side[rows].sum(axis=1)
@@ -219,7 +212,7 @@ def _instance_cut(rows: np.ndarray, side: np.ndarray) -> int:
 def typed_cut(g: HeteroGraph, sig: TypedGraphletSignature, s: Iterable[int]) -> int:
     """Number of occurrences with nodes on both sides of the cut."""
     side = _validate_cut(g.node_count, s)
-    return _instance_cut(instances_matching(g, sig), _side_mask(g.node_count, side))
+    return _instance_cut(instances_matching(g, sig), side)
 
 
 def typed_conductance(
@@ -233,14 +226,10 @@ def typed_conductance(
     return _typed_conductance(build_motif_matrix(g, sig), _validate_cut(g.node_count, s))
 
 
-def _typed_conductance(mm: MotifMatrix, side: frozenset) -> Fraction:
-    """Typed conductance of a validated cut, from W's degrees and cut count."""
-    vol_s = int(mm.degrees[sorted(side)].sum())
-    vol_rest = int(mm.degrees.sum()) - vol_s
-    denom = min(vol_s, vol_rest)
-    if denom == 0:
-        raise ZeroVolumeError("one side of the cut has zero typed-graphlet volume")
-    return Fraction(mm._cut(_side_mask(mm.graph.node_count, side)), denom)
+def _typed_conductance(mm: MotifMatrix, side: np.ndarray) -> Fraction:
+    """Typed conductance of a cut side's node mask, from W's degrees and cut count."""
+    return _conductance(mm._cut(side), int(mm.degrees[side].sum()), int(mm.degrees.sum()),
+                        "has zero typed-graphlet volume")
 
 
 def edge_expansion_measure(
@@ -252,13 +241,10 @@ def edge_expansion_measure(
     in the side; degrees play no role. Kept for comparison only, the sweep
     never optimises it.
     """
-    side = _side_mask(g.node_count, _validate_cut(g.node_count, s))
+    side = _validate_cut(g.node_count, s)
     rows = instances_matching(g, sig)
-    size_s = int(np.count_nonzero(side[rows]))
-    denom = min(size_s, rows.size - size_s)
-    if denom == 0:
-        raise ZeroVolumeError("one side of the cut touches no occurrence")
-    return Fraction(_instance_cut(rows, side), denom)
+    return _conductance(_instance_cut(rows, side), int(np.count_nonzero(side[rows])), rows.size,
+                        "touches no occurrence")
 
 
 def build_normalized_laplacian(

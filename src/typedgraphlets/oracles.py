@@ -223,7 +223,7 @@ def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
 def weighted_cut(g: WeightedGraph, s: Iterable[int]):
     """Total weight crossing the cut (s, complement)."""
     side = _validate_cut(g.node_count, s)
-    return sum(w for (u, v), w in g.weights.items() if (u in side) != (v in side))
+    return sum(w for (u, v), w in g.weights.items() if side[u] != side[v])
 
 
 def weighted_volume(g: WeightedGraph, s: Iterable[int]):
@@ -242,13 +242,13 @@ def weighted_conductance(g: WeightedGraph, s: Iterable[int]) -> float:
     DegenerateCutError; zero minimum volume (an all-isolated side) raises
     ZeroVolumeError rather than returning 0 or infinity.
     """
-    side = _validate_cut(g.node_count, s)
-    vol_s = weighted_volume(g, side)
+    ids = np.flatnonzero(_validate_cut(g.node_count, s)).tolist()
+    vol_s = weighted_volume(g, ids)
     vol_rest = g.total_volume - vol_s
     denom = min(vol_s, vol_rest)
     if denom <= 0:
         raise ZeroVolumeError("one side of the cut has zero weighted volume")
-    return weighted_cut(g, side) / denom
+    return weighted_cut(g, ids) / denom
 
 
 # The exhaustive cut searches visit 2^(n-1) cuts.

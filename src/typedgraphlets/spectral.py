@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenConvergenceError, GraphletAbsentError, ZeroVolumeError
-from .graph import HeteroGraph, WeightedGraph, connected_components
+from .graph import HeteroGraph, WeightedGraph, _validate_cut, connected_components
 from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
     MotifMatrix,
@@ -45,13 +45,12 @@ def _fix_signs(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.where(top < 0, -1.0, 1.0)
 
 
-def smallest_eigenpairs(
-    lap: NormalizedLaplacian, k: int, dense_threshold: int = DENSE_SOLVER_THRESHOLD
-) -> list[EigenPair]:
+def smallest_eigenpairs(lap: NormalizedLaplacian, k: int) -> list[EigenPair]:
     """The k smallest eigenpairs of a normalized Laplacian, ascending.
 
-    Below ``dense_threshold`` rows the full symmetric decomposition runs on
-    the dense block; larger systems use a Lanczos-type Krylov solve on
+    Below ``DENSE_SOLVER_THRESHOLD`` rows, read when the solver is called,
+    and whenever k > dim - 2, the full symmetric decomposition runs on the
+    dense block; larger systems use a Lanczos-type Krylov solve on
     2I - L (spectrum lies in [0, 2], so the smallest eigenvalues of L are
     the largest of the shifted operator) with a fixed-seed start vector; a
     solve that does not converge is retried once with more room before it
@@ -61,7 +60,7 @@ def smallest_eigenpairs(
     dim = lap.dim
     if not 1 <= k <= dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    if dim < dense_threshold or k > dim - 2:
+    if dim < DENSE_SOLVER_THRESHOLD or k > dim - 2:
         matrix = _dense(lap)
         vals, vecs = np.linalg.eigh(matrix)
         vals = vals[:k]
@@ -311,7 +310,7 @@ def _cluster(mm: MotifMatrix) -> ClusterResult:
         component=0,
         sweep_k=sweep_k,
         phi_weighted=phi,
-        alpha=_typed_conductance(mm, frozenset(chosen)),
+        alpha=_typed_conductance(mm, _validate_cut(mm.graph.node_count, chosen)),
         lambda2=second.value,
         beta=_beta_factor(second.value, mm.signature.skeleton.edge_count),
         uncovered=mm.uncovered_nodes(),

@@ -12,7 +12,7 @@ from typedgraphlets import (
     connected_components,
     planted_partition,
 )
-from typedgraphlets import graphlets, spectral
+from typedgraphlets import cli, graphlets, spectral
 from typedgraphlets.graphlets import instances_matching
 from typedgraphlets.motifmatrix import _row_graphs, _row_matrix
 
@@ -272,3 +272,25 @@ def assert_reference_laplacians(gH, comps):
             for part in ("indptr", "indices", "data"):
                 got, want = getattr(lap.matrix, part), getattr(ref.matrix, part)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def cli_outcomes(tmp_path, capsys, monkeypatch, argv, routes):
+    """What ``cli.main(argv)`` leaves under each route, for a byte comparison.
+
+    A route is a list of (owner, name, value) patches set before its run.
+    Each outcome is the exit code, stdout, stderr and the bytes of every
+    artifact by file name. The artifacts go to ``tmp_path / "out"``, which
+    is emptied after each run.
+    """
+    seen = []
+    out = tmp_path / "out"
+    for route in routes:
+        for owner, name, value in route:
+            monkeypatch.setattr(owner, name, value)
+        code = cli.main(argv + ["--output-dir", str(out)])
+        captured = capsys.readouterr()
+        files = sorted(out.iterdir()) if out.exists() else []
+        seen.append((code, captured.out, captured.err, {f.name: f.read_bytes() for f in files}))
+        for f in files:
+            f.unlink()
+    return seen

@@ -30,6 +30,7 @@ from typedgraphlets import (
     permute_graph,
     planted_partition,
     smallest_eigenpairs,
+    spectral,
     spectral_ordering,
     split_edges,
     typed_cut,
@@ -231,7 +232,7 @@ def _ring_with_chords(n, extra, seed):
     return make_graph(n, sorted(edges))
 
 
-def test_criterion_7_eigensolver_paths():
+def test_criterion_7_eigensolver_paths(monkeypatch):
     ok = True
     details = []
     # closed forms
@@ -255,8 +256,10 @@ def test_criterion_7_eigensolver_paths():
             g = random_graph(55, n, pgraph)
             sig = TypedGraphletSignature(SKELETONS[motif])
         lap = normalized_laplacian(build_motif_matrix(g, sig))
-        dense = smallest_eigenpairs(lap, 2, dense_threshold=10**9)
-        krylov = smallest_eigenpairs(lap, 2, dense_threshold=1)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 10**9)
+        dense = smallest_eigenpairs(lap, 2)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
+        krylov = smallest_eigenpairs(lap, 2)
         gap = abs(dense[1].value - krylov[1].value)
         res = max(
             float(np.linalg.norm(lap.matrix @ p.vector - p.value * p.vector))

@@ -19,7 +19,7 @@ from typedgraphlets import (
 )
 from typedgraphlets.cli import main
 
-from conftest import block_graph, graph_to_edge_list_text
+from conftest import block_graph, cli_outcomes, graph_to_edge_list_text
 
 BARBELL_FILE = """# two typed triangles joined by a bridge
 a b U U e
@@ -599,7 +599,6 @@ def test_one_pass_laplacians_leave_every_command_byte_identical(tmp_path, capsys
     # must be the same bytes, at the real dense threshold and at one patched
     # down so that most components take the Krylov path.
     monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", threshold)
-    monkeypatch.setattr(spectral.smallest_eigenpairs, "__defaults__", (threshold,))
     one_pass = spectral._laplacians
     for seed, n, blocks, types in ((1, 12, 2, 1), (2, 60, 6, 2), (3, 200, 10, 3)):
         g = block_graph(seed, n, 5, blocks, types)
@@ -611,15 +610,8 @@ def test_one_pass_laplacians_leave_every_command_byte_identical(tmp_path, capsys
             runs += [["order", "--motif", motif], ["cluster", "--motif", motif],
                      ["embed", "--motif", motif, "--dim", "3"]]
         for argv in runs:
-            seen = []
-            for route in (one_pass, per_component_laplacians):
-                monkeypatch.setattr(spectral, "_laplacians", route)
-                out = tmp_path / "out"
-                code = main(argv + ["--input", path, "--output-dir", str(out)])
-                captured = capsys.readouterr()
-                seen.append((code, captured.out, captured.err,
-                             {f.name: f.read_bytes() for f in sorted(out.iterdir())}))
-                for f in out.iterdir():
-                    f.unlink()
+            seen = cli_outcomes(tmp_path, capsys, monkeypatch, argv + ["--input", path],
+                                [[(spectral, "_laplacians", route)]
+                                 for route in (one_pass, per_component_laplacians)])
             assert seen[0] == seen[1], (seed, argv)
             assert seen[0][0] == 0, (seed, argv)

@@ -1,6 +1,7 @@
 import math
 import re
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,14 +9,20 @@ import pytest
 from typedgraphlets import (
     DegenerateCutError,
     EdgeListFormatError,
+    SKELETONS,
     HeteroGraph,
+    TypedGraphletSignature,
     WeightedGraph,
     ZeroVolumeError,
     brute_force_min_weighted_conductance,
     connected_components,
+    edge_expansion_measure,
+    external_conductance,
     inverse_permutation,
     load_typed_edge_list,
     permute_graph,
+    typed_conductance,
+    typed_cut,
     weighted_conductance,
     weighted_cut,
     weighted_volume,
@@ -307,6 +314,81 @@ def test_brute_force_min_weighted_conductance_barbell():
     side, value = brute_force_min_weighted_conductance(wg)
     assert value == Fraction(1, 7)
     assert side in (frozenset({0, 1, 2}), frozenset({3, 4, 5}))
+
+
+# ---------------------------------------------------------------- one cut contract
+
+# A triangle 0-1-2 with a tail 2-3-4; node 5 lies on no edge, so a side of
+# {5} has zero volume in every measure, and so does the rest of {0..4}.
+CUT_EDGES = [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]
+CUT_GRAPH = make_graph(6, CUT_EDGES)
+CUT_WEIGHTS = WeightedGraph(6, {e: i + 1 for i, e in enumerate(CUT_EDGES)})
+TRIANGLE = TypedGraphletSignature(SKELETONS["triangle"])
+CUT_MEASURES = {
+    "typed_cut": partial(typed_cut, CUT_GRAPH, TRIANGLE),
+    "typed_conductance": partial(typed_conductance, CUT_GRAPH, TRIANGLE),
+    "edge_expansion_measure": partial(edge_expansion_measure, CUT_GRAPH, TRIANGLE),
+    "external_conductance": partial(external_conductance, CUT_GRAPH),
+    "weighted_cut": partial(weighted_cut, CUT_WEIGHTS),
+    "weighted_conductance": partial(weighted_conductance, CUT_WEIGHTS),
+}
+# What each measure gives on the side {0, 1}, and the message of its
+# ZeroVolumeError, if it has one.
+CUT_VALUES = {
+    "typed_cut": (1, None),
+    "typed_conductance": (Fraction(1, 2), "one side of the cut has zero typed-graphlet volume"),
+    "edge_expansion_measure": (Fraction(1), "one side of the cut touches no occurrence"),
+    "external_conductance": (Fraction(1, 2), "one side of the cut has zero volume"),
+    "weighted_cut": (5, None),
+    "weighted_conductance": (5 / 7, "one side of the cut has zero weighted volume"),
+}
+OUT_OF_RANGE = "node id {} out of range"
+DEGENERATE = "cut requires both sides nonempty"
+
+
+# (name, side factory, fault) for every side the contract covers. The fault
+# is None for a valid side, "zero" for a side of zero volume, or (exception
+# type, message). Where a side has two faults, the range check comes first,
+# then the empty-or-full check, then the volume.
+CUT_SIDES = [
+    ("list", lambda: [0, 1], None),
+    ("set", lambda: {1, 0}, None),
+    ("generator", lambda: (v for v in (1, 0)), None),
+    ("repeated ids", lambda: [0, 1, 1, 0, 0], None),
+    ("repeated ids, generator", lambda: (v % 2 for v in range(6)), None),
+    ("zero volume", lambda: [5], "zero"),
+    ("zero volume, repeated", lambda: (5 for _ in range(3)), "zero"),
+    ("complement of zero volume", lambda: range(5), "zero"),
+    ("id -1", lambda: [0, -1], (ValueError, OUT_OF_RANGE.format(-1))),
+    ("id n", lambda: [6, 0], (ValueError, OUT_OF_RANGE.format(6))),
+    ("ids -1 and n", lambda: (v for v in (6, -1)), (ValueError, OUT_OF_RANGE.format(-1))),
+    ("empty", lambda: [], (DegenerateCutError, DEGENERATE)),
+    ("empty generator", lambda: iter(()), (DegenerateCutError, DEGENERATE)),
+    ("full", lambda: range(6), (DegenerateCutError, DEGENERATE)),
+    ("full, repeated", lambda: [5, 4, 3, 2, 1, 0, 0], (DegenerateCutError, DEGENERATE)),
+    ("full and id n", lambda: range(7), (ValueError, OUT_OF_RANGE.format(6))),
+    ("zero volume and id n", lambda: [5, 6], (ValueError, OUT_OF_RANGE.format(6))),
+]
+
+
+@pytest.mark.parametrize("measure", sorted(CUT_MEASURES))
+@pytest.mark.parametrize("name, side, fault", CUT_SIDES, ids=[case[0] for case in CUT_SIDES])
+def test_every_cut_measure_reads_its_side_by_one_contract(measure, name, side, fault):
+    # Every cut measure takes its side as any iterable of node ids, read
+    # once, and raises the same exception type and message for each fault,
+    # in the same order; a zero-volume side fails only the ratios.
+    value, zero_message = CUT_VALUES[measure]
+    if fault == "zero":
+        fault = (ZeroVolumeError, zero_message) if zero_message else None
+        value = 0
+    if fault is None:
+        got = CUT_MEASURES[measure](side())
+        assert type(got) is type(value) and got == value
+        return
+    kind, message = fault
+    with pytest.raises(ValueError) as info:
+        CUT_MEASURES[measure](side())
+    assert type(info.value) is kind and str(info.value) == message
 
 
 # ---------------------------------------------------------------- permutation

@@ -102,7 +102,7 @@ def test_eigenpair_invariants():
             assert abs(pairs[i].vector @ pairs[j].vector) < 1e-8
 
 
-def test_iterative_path_agrees_with_dense():
+def test_iterative_path_agrees_with_dense(monkeypatch):
     # ring of 150 nodes plus chords; force the Krylov path via threshold 1
     rng = random.Random(9)
     edges = [(i, (i + 1) % 150) for i in range(150)]
@@ -110,8 +110,10 @@ def test_iterative_path_agrees_with_dense():
     edges += [e for e in extra if e[0] != e[1] and e not in set(edges)]
     g = make_graph(150, sorted(set(edges)))
     lap = edge_laplacian(g)
-    dense = smallest_eigenpairs(lap, 2, dense_threshold=10_000)
-    iterative = smallest_eigenpairs(lap, 2, dense_threshold=1)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 10_000)
+    dense = smallest_eigenpairs(lap, 2)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
+    iterative = smallest_eigenpairs(lap, 2)
     assert iterative[1].value == pytest.approx(dense[1].value, abs=1e-6)
 
 
@@ -135,8 +137,9 @@ def test_nonconvergence_surfaces_as_error(monkeypatch):
         raise spla.ArpackNoConvergence("stalled", np.array([]), np.empty((0, 0)))
 
     monkeypatch.setattr("typedgraphlets.spectral.spla.eigsh", no_converge)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
     with pytest.raises(EigenConvergenceError):
-        smallest_eigenpairs(lap, 2, dense_threshold=1)
+        smallest_eigenpairs(lap, 2)
 
 
 def _eigsh_failing(monkeypatch, failures):
@@ -158,9 +161,10 @@ def _eigsh_failing(monkeypatch, failures):
 
 def test_nonconvergence_is_retried_once_with_more_room(monkeypatch):
     lap = edge_laplacian(connected_random_graph(51, 30, 0.3))
-    want = smallest_eigenpairs(lap, 3, dense_threshold=1)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
+    want = smallest_eigenpairs(lap, 3)
     calls = _eigsh_failing(monkeypatch, 1)
-    got = smallest_eigenpairs(lap, 3, dense_threshold=1)
+    got = smallest_eigenpairs(lap, 3)
     assert len(calls) == 2
     first, retry = calls
     assert (retry["v0"] == first["v0"]).all()
@@ -177,8 +181,9 @@ def test_nonconvergence_after_the_retry_is_an_error(monkeypatch):
 
     lap = edge_laplacian(connected_random_graph(51, 30, 0.3))
     calls = _eigsh_failing(monkeypatch, 2)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
     with pytest.raises(EigenConvergenceError):
-        smallest_eigenpairs(lap, 2, dense_threshold=1)
+        smallest_eigenpairs(lap, 2)
     assert len(calls) == 2
 
 
@@ -205,8 +210,9 @@ def test_residual_check_raises_on_the_first_failing_pair(monkeypatch, route, thr
 
     monkeypatch.setattr("numpy.linalg.eigh" if route == "dense" else
                         "typedgraphlets.spectral.spla.eigsh", solve)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", threshold)
     with pytest.raises(EigenConvergenceError) as info:
-        smallest_eigenpairs(lap, 3, dense_threshold=threshold)
+        smallest_eigenpairs(lap, 3)
     lam, vec = moved[first]
     want = np.linalg.norm(lap.matrix.toarray() @ vec - lam * vec)
     assert info.value.residual is not None
@@ -235,12 +241,9 @@ def test_one_pass_laplacians_equal_the_per_component_builds(weight):
 
 
 def test_one_pass_laplacians_on_each_side_of_the_dense_threshold(monkeypatch):
-    # The solver's default threshold is bound at definition, so both places
-    # that read it are patched. Components of 2 and 3 nodes stay dense, the
-    # others go sparse to the Krylov path, and every pair is bit-equal to
-    # the reference route's.
+    # Components of 2 and 3 nodes stay dense, the others go sparse to the
+    # Krylov path, and every pair is bit-equal to the reference route's.
     monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 4)
-    monkeypatch.setattr(spectral.smallest_eigenpairs, "__defaults__", (4,))
     gH = many_components(lambda i: 0.3 + i / 7)
     comps = spectral._covered_components([gH])[0]
     assert_reference_laplacians(gH, comps)
@@ -882,3 +885,51 @@ def test_beta_monotone_in_edge_count():
     betas = [_beta_factor(lam, m) for m in (1, 2, 3, 4, 5, 6)]
     assert betas == sorted(betas)
     assert all(b > 0 for b in betas)
+
+
+def _measure_rule_uses(tree, module):
+    """(kind, function) for each ``raise`` of ZeroVolumeError and each
+    parameter default that reads DENSE_SOLVER_THRESHOLD.
+
+    The function is the innermost one holding the raise, or the one whose
+    signature holds the default; a lambda is ``<owner>.<lambda>``.
+    """
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = f"{owner}.<lambda>" if isinstance(node, ast.Lambda) else f"{module}.{node.name}"
+            defaults = node.args.defaults + [d for d in node.args.kw_defaults if d is not None]
+            if any(_users(d, owner, "DENSE_SOLVER_THRESHOLD") for d in defaults):
+                found.append(("default", owner))
+        if isinstance(node, ast.Raise) and node.exc and _users(node.exc, owner, "ZeroVolumeError"):
+            found.append(("raise", owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, module)
+    return found
+
+
+def test_one_conductance_ratio_and_one_dense_threshold_in_the_package():
+    # graph._conductance is the one exact smaller-side ratio; only the
+    # sweep's vector profile and the oracles, the independent reference,
+    # keep ratios of their own. The dense threshold is read when the solver
+    # runs, so a test that patches the constant reaches every reader.
+    package = Path(spectral.__file__).parent
+    found = [use for path in sorted(package.glob("*.py"))
+             for use in _measure_rule_uses(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+    assert sorted(owner for kind, owner in found if kind == "raise"
+                  and not owner.startswith("oracles.")) == ["graph._conductance", "spectral.sweep_cut"]
+    assert [owner for kind, owner in found if kind == "default"] == []
+    for source, want in (
+            ("def f(s):\n    raise ZeroVolumeError('x')", [("raise", "m.f")]),
+            ("def f(s):\n    raise errors.ZeroVolumeError('x') from None", [("raise", "m.f")]),
+            ("def f(s):\n    def g():\n        raise ZeroVolumeError\n    g()", [("raise", "m.g")]),
+            ("def f(lap, k, t=DENSE_SOLVER_THRESHOLD):\n    pass", [("default", "m.f")]),
+            ("def f(lap, *, t=spectral.DENSE_SOLVER_THRESHOLD):\n    pass", [("default", "m.f")]),
+            ("f = lambda t=DENSE_SOLVER_THRESHOLD: t", [("default", "m.<lambda>")]),
+            ("def f(s):\n    try:\n        g()\n    except ZeroVolumeError:\n        raise", []),
+            ("def f(lap, k):\n    return lap.dim < DENSE_SOLVER_THRESHOLD", []),
+            ("from .errors import ZeroVolumeError", [])):
+        assert _measure_rule_uses(ast.parse(source), "m") == want, source
