@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,23 +52,24 @@ class HeteroGraph:
             raise ValueError("duplicate external node ids")
         if len(edges) != len(edge_types):
             raise ValueError("edge_types length does not match edges")
-        etypes = np.asarray(edge_types, dtype=np.int64)
-        for kind, ids, count in (("node", np.asarray(self.node_types, dtype=np.int64),
-                                  self.node_type_count), ("edge", etypes, self.edge_type_count)):
+        ntypes = _node_ids(self.node_types, what="node type id")
+        etypes = _node_ids(edge_types, what="edge type id")
+        for kind, ids, count in (("node", ntypes, self.node_type_count),
+                                 ("edge", etypes, self.edge_type_count)):
             bad = ids[(ids < 0) | (ids >= count)]
             if len(bad):
                 raise ValueError(f"{kind} type id {bad[0]} out of range")
         m = len(edges)
-        try:
-            raw = np.asarray(edges, dtype=np.int64).reshape(m, -1) if m else np.empty((0, 2), np.int64)
-        except ValueError:  # ragged rows, or ids that are not integers
-            raw = np.empty((m, 0), dtype=np.int64)
-        if raw.shape[1] != 2:  # check the rows before the first non-pair, then unpack it
-            first = next((i for i, row in enumerate(edges) if np.shape(row) != (2,)), 0)
+        # The first row that is not a pair of integers; an integer array of pairs has none.
+        pairs = isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape == (m, 2)
+        first = m if pairs else next((i for i, row in enumerate(edges) if np.shape(row) != (2,)
+                                      or not all(map(_integral, map(type, row)))), m)
+        if first < m:  # check the rows before it, then unpack it
             HeteroGraph(self.node_names, self.node_types, edges[:first], edge_types[:first],
                         self.node_type_names, self.edge_type_names)
             u, v = edges[first]
             raise ValueError("edges must be pairs of integer node ids")
+        raw = np.asarray(edges, dtype=np.int64).reshape(m, 2)
         # One sort of the keys u * n + v finds each key's first row; the rest repeat it.
         ends = np.sort(raw, axis=1)
         keys, firsts = np.unique(ends[:, 0] * n + ends[:, 1], return_index=True)
@@ -142,11 +143,11 @@ class HeteroGraph:
     def subgraph(self, nodes: Iterable[int]) -> tuple["HeteroGraph", list[int]]:
         """Induced subgraph on ``nodes``; returns (graph, new-to-old id map).
 
-        Ids outside the graph raise ValueError. Type tables are carried over
-        unchanged so type ids stay comparable with the parent graph.
+        Ids that are not integers or lie outside the graph raise ValueError.
+        Type tables are carried over unchanged so type ids stay comparable
+        with the parent graph.
         """
-        keep = sorted(set(nodes))
-        _check_node_ids(self.node_count, keep)
+        keep = np.unique(_node_ids(nodes, self.node_count)).tolist()
         relabel = np.full(self.node_count, -1, dtype=np.int64)
         relabel[keep] = np.arange(len(keep))
         ends = relabel[self.edge_array]
@@ -191,6 +192,8 @@ class WeightedGraph:
     def __init__(self, node_count: int, weights: Mapping[tuple[int, int], float]):
         norm: dict[tuple[int, int], float] = {}
         for (u, v), w in weights.items():
+            if not (_integral(type(u)) and _integral(type(v))):
+                raise ValueError(f"weight key ({u!r}, {v!r}) is not a pair of integer node ids")
             if u == v:
                 raise ValueError("weighted graph has zero diagonal; no self-loops")
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -368,25 +371,37 @@ def connected_components(g: WeightedGraph) -> tuple[np.ndarray, int]:
     return canon[raw], count
 
 
-def _check_node_ids(node_count: int, ids: Collection[int]) -> None:
-    """Reject ids outside ``0..node_count-1`` with ValueError."""
-    if ids:
-        for v in (min(ids), max(ids)):
-            if not 0 <= v < node_count:
-                raise ValueError(f"node id {v} out of range")
+def _integral(t: type) -> bool:
+    """Whether values of type ``t`` are integer ids: ints and NumPy integers, not booleans."""
+    return issubclass(t, (int, np.integer)) and t is not bool
+
+
+def _node_ids(ids: Iterable, node_count: int | None = None, what: str = "node id") -> np.ndarray:
+    """``ids``, read once, as int64. The first id that is not an integer (a float, a string
+    or a boolean) raises ValueError; then, given ``node_count``, so does an id outside
+    ``0..node_count-1``, the smallest first."""
+    if not (isinstance(ids, np.ndarray) and ids.dtype.kind in "iu"):
+        ids = ids.tolist() if isinstance(ids, np.ndarray) else list(ids)
+        if not all(map(_integral, set(map(type, ids)))):
+            bad = next(v for v in ids if not _integral(type(v)))
+            raise ValueError(f"{what} {bad!r} is not an integer")
+    ids = np.asarray(ids, dtype=np.int64)
+    for v in (ids.min(), ids.max()) if node_count is not None and len(ids) else ():
+        if not 0 <= v < node_count:
+            raise ValueError(f"{what} {v} out of range")
+    return ids
 
 
 def _validate_cut(node_count: int, s: Iterable[int]) -> np.ndarray:
     """The side ``s`` of a cut as a boolean node mask.
 
     ``s`` is any iterable of node ids, repeats allowed, and is read once.
-    An id outside ``0..node_count-1`` raises ValueError; then a side that is
-    empty or holds every node raises DegenerateCutError.
+    An id that is not an integer raises ValueError, then so does an id
+    outside ``0..node_count-1`` (both as ``_node_ids``); then a side that
+    is empty or holds every node raises DegenerateCutError.
     """
-    ids = np.fromiter(s, dtype=np.int64)
-    _check_node_ids(node_count, ids.tolist())
     side = np.zeros(node_count, dtype=bool)
-    side[ids] = True
+    side[_node_ids(s, node_count)] = True
     if not 0 < np.count_nonzero(side) < node_count:
         raise DegenerateCutError("cut requires both sides nonempty")
     return side

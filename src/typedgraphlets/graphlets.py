@@ -376,28 +376,31 @@ def _row_pair_keys(g: HeteroGraph, rows: np.ndarray) -> np.ndarray:
                             for a, b in combinations(range(rows.shape[1]), 2)])
 
 
-def _type_keys(g: HeteroGraph, skel: Skeleton, rows: np.ndarray, typing_mode: str,
-               sentinel: int) -> np.ndarray:
+def _type_keys(g: HeteroGraph, skel: Skeleton, rows: np.ndarray, typing_mode: str) -> np.ndarray:
     """One key row per occurrence: k node-type, then |E(skel)| edge-type columns.
 
     Two rows are equal exactly when ``signature_of`` gives the two
-    occurrences equal signatures. Each node pair of a row is looked up in
-    the graph's sorted edge keys; a non-edge reads -1. ``sentinel`` exceeds
-    every type id: set mode pads its distinct types with it, and strict mode
-    fills with it the candidate labellings that do not map every skeleton
-    edge onto an edge.
+    occurrences equal signatures, and rows compared column by column, first
+    column first, order as their (node types, edge types) tuples do. Each
+    node pair of a row is looked up in the graph's sorted edge keys; a
+    non-edge reads -1. The sentinel exceeds every type id: set mode marks
+    repeated types with it, sorts them to the end and then pads with -1,
+    below every type id, so (0,) sorts before (0, 1); strict mode fills with
+    it the candidate labellings that do not map every skeleton edge onto an
+    edge.
     """
     k, m = skel.node_count, skel.edge_count
+    sentinel = max(g.node_type_count, g.edge_type_count)
     node_types = np.asarray(g.node_types, dtype=np.int64)[rows]
     pair_cols = {pair: i for i, pair in enumerate(combinations(range(k), 2))}
     pair_types = np.column_stack([g.pair_edge_types(col) for col in _row_pair_keys(g, rows).T])
-    if typing_mode == "multiset":
-        return np.hstack([np.sort(node_types, axis=1), np.sort(pair_types, axis=1)[:, -m:]])
-    if typing_mode == "set":
+    if typing_mode != "strict":
         blocks = [np.sort(node_types, axis=1), np.sort(pair_types, axis=1)[:, -m:]]
-        for block in blocks:
-            block[:, 1:][block[:, 1:] == block[:, :-1]] = sentinel
-            block.sort(axis=1)
+        if typing_mode == "set":
+            for block in blocks:
+                block[:, 1:][block[:, 1:] == block[:, :-1]] = sentinel
+                block.sort(axis=1)
+                block[block == sentinel] = -1
         return np.hstack(blocks)
     # strict: the smallest (node types, edge types) over every labelling p
     # that maps the skeleton onto the occurrence, compared column by column.
@@ -417,36 +420,26 @@ def _type_keys(g: HeteroGraph, skel: Skeleton, rows: np.ndarray, typing_mode: st
 def _signature_column(
     g: HeteroGraph, skel: Skeleton, typing_mode: str
 ) -> tuple[np.ndarray, list[TypedGraphletSignature]]:
-    """Per-row index into the signatures of ``skel``, in first-seen order.
+    """Per-row index into the signatures of ``skel``, in signature order.
 
-    Rows are grouped by their type keys with one stable lexsort; a group's
-    id is the rank of its first row.
+    Rows are grouped by their type keys with one stable lexsort, first
+    column primary, so a group's id is its rank in (node types, edge types)
+    order. A signature holds its key's entries that are not -1.
     """
     tables = _TABLES.setdefault(g, {})
     key = (skel.name, typing_mode)
     if key not in tables:
-        rows = _occurrence_rows(g, skel)
-        sentinel = max(g.node_type_count, g.edge_type_count)
-        keys = _type_keys(g, skel, rows, typing_mode, sentinel)
-        order = np.lexsort(keys.T)
+        keys = _type_keys(g, skel, _occurrence_rows(g, skel), typing_mode)
+        order = np.lexsort(keys.T[::-1])
         ordered = keys[order]
-        starts = np.ones(len(rows), dtype=bool)
+        starts = np.ones(len(keys), dtype=bool)
         starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        firsts = order[starts]
-        rank = np.empty(len(firsts), dtype=np.int32)
-        rank[np.argsort(firsts)] = np.arange(len(firsts))
-        ids = np.empty(len(rows), dtype=np.int32)
-        ids[order] = rank[np.cumsum(starts) - 1]
+        ids = np.empty(len(keys), dtype=np.int32)
+        ids[order] = np.cumsum(starts) - 1
         k = skel.node_count
-        sigs = [
-            TypedGraphletSignature(
-                skel,
-                tuple(t for t in row[:k] if t != sentinel),
-                tuple(t for t in row[k:] if t != sentinel),
-                typing_mode,
-            )
-            for row in keys[np.sort(firsts)].tolist()
-        ]
+        sigs = [TypedGraphletSignature(skel, tuple(t for t in row[:k] if t >= 0),
+                                       tuple(t for t in row[k:] if t >= 0), typing_mode)
+                for row in ordered[starts].tolist()]
         tables[key] = (ids, sigs)
     return tables[key]
 
@@ -484,23 +477,17 @@ def census(
 ) -> dict[TypedGraphletSignature, int]:
     """Count occurrences grouped by typed signature.
 
-    The default skeleton list is the eight 3- and 4-node shapes. Keys come
-    out sorted by skeleton order, then type tuples, so output is stable.
+    The default skeleton list is the eight 3- and 4-node shapes; a skeleton
+    listed twice, or also by an alias, is counted once. Keys come out in
+    skeleton order, each skeleton's in the signature order of its column,
+    that is by type tuples, so output is stable.
     """
-    if skels is None:
-        names = THREE_FOUR_NODE
-    else:
-        # A skeleton listed twice, or also by an alias, is counted once.
-        names = dict.fromkeys(resolve_skeleton(s).name for s in skels)
+    names = THREE_FOUR_NODE if skels is None else skels
+    # The catalog lookup raises KeyError for a skeleton outside the catalog.
+    wanted = {SKELETONS[resolve_skeleton(s).name] for s in names}
     counts: dict[TypedGraphletSignature, int] = {}
-    for name in names:
-        ids, sigs = _signature_column(g, SKELETONS[name], typing_mode)
-        for sig, count in zip(sigs, np.bincount(ids, minlength=len(sigs)).tolist()):
-            counts[sig] = count
-    order = {name: i for i, name in enumerate(SKELETON_ORDER)}
-    return dict(
-        sorted(
-            counts.items(),
-            key=lambda kv: (order[kv[0].skeleton.name], kv[0].node_types, kv[0].edge_types),
-        )
-    )
+    for skel in SKELETONS.values():
+        if skel in wanted:
+            ids, sigs = _signature_column(g, skel, typing_mode)
+            counts.update(zip(sigs, np.bincount(ids, minlength=len(sigs)).tolist()))
+    return counts

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GraphletAbsentError
-from .graph import HeteroGraph, WeightedGraph, _conductance, _validate_cut
+from .graph import HeteroGraph, WeightedGraph, _conductance, _node_ids, _validate_cut
 from .graphlets import (
     SKELETONS,
     TypedGraphletSignature,
@@ -254,10 +254,10 @@ def build_normalized_laplacian(
 
     Rows with zero degree inside the restriction are excluded; D^{-1/2} is
     undefined there. Ids outside the graph have no degree and are excluded
-    the same way.
+    the same way; an id that is not an integer raises ValueError.
     """
     n = wg.node_count
-    keep = np.arange(n) if nodes is None else np.unique(np.asarray(nodes, dtype=np.int64))
+    keep = np.arange(n) if nodes is None else np.unique(_node_ids(nodes))
     keep = keep[(keep >= 0) & (keep < n)]
     inside = np.zeros(n, dtype=bool)
     inside[keep] = True

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegenerateCutError, GraphletAbsentError, ZeroVolumeError
-from .graph import HeteroGraph, WeightedGraph, _check_node_ids, _validate_cut
+from .graph import HeteroGraph, WeightedGraph, _node_ids, _validate_cut
 from .graphlets import (
     SKELETON_ORDER,
     SKELETONS,
@@ -214,8 +214,7 @@ def typed_degree(mm: MotifMatrix, v: int) -> int:
 
 
 def typed_volume(mm: MotifMatrix, s: Iterable[int]) -> int:
-    side = set(s)
-    _check_node_ids(mm.graph.node_count, side)
+    side = set(_node_ids(s, mm.graph.node_count).tolist())
     weights = _brute_force_weights(mm.graph, mm.signature)
     return sum(w * ((u in side) + (v in side)) for (u, v), w in weights.items())
 
@@ -227,9 +226,8 @@ def weighted_cut(g: WeightedGraph, s: Iterable[int]):
 
 
 def weighted_volume(g: WeightedGraph, s: Iterable[int]):
-    idx = sorted(set(s))
-    _check_node_ids(g.node_count, idx)
-    if not idx:
+    idx = np.unique(_node_ids(s, g.node_count))
+    if not len(idx):
         return 0
     val = g.degrees[idx].sum()
     return int(val) if g.degrees.dtype == np.int64 else float(val)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import EigenConvergenceError, GraphletAbsentError, ZeroVolumeError
-from .graph import HeteroGraph, WeightedGraph, _validate_cut, connected_components
+from .graph import HeteroGraph, WeightedGraph, _node_ids, _validate_cut, connected_components
 from .graphlets import TypedGraphletSignature
 from .motifmatrix import (
     MotifMatrix,
@@ -124,8 +124,8 @@ def sweep_cut(
 ) -> SweepResult:
     """Minimum-conductance prefix of the second-eigenvector ordering.
 
-    ``nodes`` (default: every node of ``gH``) must be ascending node ids of
-    ``gH`` and aligned with ``v2``. The ordering sorts v2 ascending with ties
+    ``nodes`` (default: every node of ``gH``) must be ascending integer node
+    ids of ``gH`` and aligned with ``v2``. The ordering sorts v2 ascending with ties
     going to the lower node id. The cut of the first k ordered nodes is
     their volume minus twice the weight of the pairs with both endpoints
     among them, a pair joining the prefix at the later sweep position of its
@@ -133,7 +133,7 @@ def sweep_cut(
     connected component of a larger graph scores prefixes against the full
     volume. Profile ties resolve to the smallest k.
     """
-    nodes = np.arange(gH.node_count) if nodes is None else np.asarray(nodes, dtype=np.int64)
+    nodes = np.arange(gH.node_count) if nodes is None else _node_ids(nodes)
     if len(nodes) < 2:
         raise ValueError("sweep needs at least 2 nodes")
     if len(v2) != len(nodes):

@@ -224,6 +224,18 @@ def test_classifier_labels_other_than_0_and_1_rejected(labels):
         train_linear_classifier(np.ones((4, 2)), np.array(labels, dtype=float))
 
 
+@pytest.mark.parametrize("X, y", [
+    (np.ones((4, 2)), np.array([0.0, 1.0, 0.0])),
+    (np.ones((3, 2)), np.array([0.0, 1.0, 0.0, 1.0])),
+    (np.ones(4), np.array([0.0, 1.0, 0.0, 1.0])),
+    (np.ones((4, 2, 1)), np.array([0.0, 1.0, 0.0, 1.0])),
+])
+def test_classifier_rejects_inconsistent_shapes(X, y):
+    with pytest.raises(ValueError) as info:
+        train_linear_classifier(X, y)
+    assert type(info.value) is ValueError and str(info.value) == "X and y shapes are inconsistent"
+
+
 def _loss_and_probs(Xb, y, w, l2):
     """Penalised logistic loss at ``w`` for labels of 0 or 1, and the probabilities."""
     p = np.empty(len(y))
@@ -301,6 +313,14 @@ def test_metrics_perfect_separation():
     rep = compute_metrics([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0])
     assert rep.f1 == 1.0
     assert rep.auc == 1.0
+
+
+@pytest.mark.parametrize("scores, labels", [([0.9, 0.1], [1, 0, 1]), ([0.9, 0.1, 0.5], [1]),
+                                            ([], [0])])
+def test_metrics_reject_lengths_that_differ(scores, labels):
+    with pytest.raises(ValueError) as info:
+        compute_metrics(scores, labels)
+    assert type(info.value) is ValueError and str(info.value) == "scores and labels lengths differ"
 
 
 def test_metrics_constant_scores_auc_half():

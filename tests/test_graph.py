@@ -15,12 +15,14 @@ from typedgraphlets import (
     WeightedGraph,
     ZeroVolumeError,
     brute_force_min_weighted_conductance,
+    build_normalized_laplacian,
     connected_components,
     edge_expansion_measure,
     external_conductance,
     inverse_permutation,
     load_typed_edge_list,
     permute_graph,
+    sweep_cut,
     typed_conductance,
     typed_cut,
     weighted_conductance,
@@ -165,6 +167,37 @@ def test_subgraph_rejects_ids_out_of_range():
             g.subgraph(nodes)
 
 
+# Node subsets that hold an id that is not an integer, and the message each
+# gives; an id outside the graph comes first, so the integer check must run
+# before any range check.
+NOT_INTEGER_SUBSETS = [
+    ([9, 0.5, 1.5], "node id 0.5 is not an integer"),
+    (["0", 1, 2], "node id '0' is not an integer"),
+    (np.array([False, True, True, False, False, False]), "node id False is not an integer"),
+    ([9, 1, True], "node id True is not an integer"),
+]
+# Every entry point that reads a node subset other than a cut side.
+BARBELL_WEIGHTS = WeightedGraph(6, {e: 1 for e in barbell().edges})
+SUBSET_READERS = {
+    "subgraph": lambda nodes: barbell().subgraph(nodes),
+    "weighted_volume": partial(weighted_volume, BARBELL_WEIGHTS),
+    "sweep_cut": lambda nodes: sweep_cut(BARBELL_WEIGHTS, np.arange(len(nodes), dtype=float),
+                                         nodes=nodes),
+    "build_normalized_laplacian": partial(build_normalized_laplacian, BARBELL_WEIGHTS),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SUBSET_READERS))
+@pytest.mark.parametrize("nodes, message", NOT_INTEGER_SUBSETS)
+def test_node_subsets_reject_ids_that_are_not_integers(reader, nodes, message):
+    # These ids used to be truncated (0.5 read as 0), read as the ids of a
+    # mask's positions, or raise IndexError.
+    SUBSET_READERS[reader]([0, 1, 2])
+    with pytest.raises(ValueError) as info:
+        SUBSET_READERS[reader](nodes)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 # ---------------------------------------------------------------- weighted graphs
 
 def test_weighted_graph_drops_zero_and_rejects_negative():
@@ -182,6 +215,27 @@ def test_weighted_graph_stores_pair_arrays_and_builds_the_dict_view_on_read():
     assert all(type(w) is int for w in wg.weights.values())
     assert list(WeightedGraph(3, {(1, 0): 1.5, (1, 2): 2}).weights.items()) == [
         ((0, 1), 1.5), ((1, 2), 2.0)]
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({(0, 1): 1, (2, 2): 1}, "weighted graph has zero diagonal; no self-loops"),
+    ({(0, 1): 1, (1, 3): 1}, "weight key (1, 3) out of range"),
+    ({(-1, 0): 1}, "weight key (-1, 0) out of range"),
+    ({(0, 1): 1, (1, 0): 2}, "conflicting weights for (0, 1)"),
+    ({(0.5, 1): 1}, "weight key (0.5, 1) is not a pair of integer node ids"),
+    ({(0, "1"): 1}, "weight key (0, '1') is not a pair of integer node ids"),
+    ({(True, 2): 1}, "weight key (True, 2) is not a pair of integer node ids"),
+    # The first faulty key raises; a key that is not a pair of integers
+    # raises before its own range check.
+    ({(1, 1): 1, (0.5, 1): 1}, "weighted graph has zero diagonal; no self-loops"),
+    ({(0, 1): 1, (7, 0.5): 1, (1, 1): 1}, "weight key (7, 0.5) is not a pair of integer node ids"),
+])
+def test_weighted_graph_constructor_checks(weights, message):
+    assert WeightedGraph(3, {(0, 1): 1, (1, 0): 1, (np.int64(1), 2): 2}).weights == {
+        (0, 1): 1, (1, 2): 2}
+    with pytest.raises(ValueError) as info:
+        WeightedGraph(3, weights)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_weighted_degree_sum_identity():
@@ -344,12 +398,13 @@ CUT_VALUES = {
 }
 OUT_OF_RANGE = "node id {} out of range"
 DEGENERATE = "cut requires both sides nonempty"
+NOT_INTEGER = "node id {} is not an integer"
 
 
 # (name, side factory, fault) for every side the contract covers. The fault
 # is None for a valid side, "zero" for a side of zero volume, or (exception
-# type, message). Where a side has two faults, the range check comes first,
-# then the empty-or-full check, then the volume.
+# type, message). Where a side has two faults, the integer check comes first,
+# then the range check, then the empty-or-full check, then the volume.
 CUT_SIDES = [
     ("list", lambda: [0, 1], None),
     ("set", lambda: {1, 0}, None),
@@ -368,6 +423,11 @@ CUT_SIDES = [
     ("full, repeated", lambda: [5, 4, 3, 2, 1, 0, 0], (DegenerateCutError, DEGENERATE)),
     ("full and id n", lambda: range(7), (ValueError, OUT_OF_RANGE.format(6))),
     ("zero volume and id n", lambda: [5, 6], (ValueError, OUT_OF_RANGE.format(6))),
+    # Ids that are not integers are never truncated or read as a mask.
+    ("float ids", lambda: [0.9, 1.9], (ValueError, NOT_INTEGER.format(0.9))),
+    ("string id after id n", lambda: (v for v in (6, 0, "1")),
+     (ValueError, NOT_INTEGER.format("'1'"))),
+    ("boolean mask", lambda: np.arange(6) < 2, (ValueError, NOT_INTEGER.format(True))),
 ]
 
 
@@ -449,6 +509,19 @@ HETERO_GRAPH_ARGS = dict(
     ({"node_types": [0, 1]}, "node_types length does not match node_names"),
     ({"edge_types": [0]}, "edge_types length does not match edges"),
     ({"node_names": ["a", "b", "a"]}, "duplicate external node ids"),
+    ({"edges": [(0.5, 1), (1, 2)]}, "edges must be pairs of integer node ids"),
+    ({"edges": [(0, 1), ("1", "2")]}, "edges must be pairs of integer node ids"),
+    ({"edges": [(0, 1), (True, 2)]}, "edges must be pairs of integer node ids"),
+    ({"edges": np.array([[0, 1], [1, 2]], dtype=float)}, "edges must be pairs of integer node ids"),
+    # The rows before the first faulty row are checked first, and type ids
+    # before any row.
+    ({"edges": [(0, 0), ("a", "b")]}, "self-loop at node 0"),
+    ({"edges": [(0, 1), (1, 0.5)], "edge_types": [0, 1]}, "edge type id 1 out of range"),
+    ({"node_types": [0, 0.7, 0]}, "node type id 0.7 is not an integer"),
+    ({"node_types": [0, "1", 0]}, "node type id '1' is not an integer"),
+    ({"node_types": [5, 1, False]}, "node type id False is not an integer"),
+    ({"edge_types": [0, 0.0]}, "edge type id 0.0 is not an integer"),
+    ({"edge_types": [True, 0]}, "edge type id True is not an integer"),
 ])
 def test_hetero_graph_constructor_checks(change, message):
     HeteroGraph(**HETERO_GRAPH_ARGS)

@@ -32,7 +32,12 @@ from typedgraphlets import (
 )
 import typedgraphlets
 from typedgraphlets import graphlets, oracles
-from typedgraphlets.graphlets import _automorphism_perms, _occurrence_rows, _signature_column
+from typedgraphlets.graphlets import (
+    THREE_FOUR_NODE,
+    _automorphism_perms,
+    _occurrence_rows,
+    _signature_column,
+)
 
 from conftest import (
     FOUR_NODE_ROUTES,
@@ -176,6 +181,14 @@ def test_brute_force_empty_graph_and_guard():
     big = make_graph(65, [])
     with pytest.raises(ValueError, match="64"):
         brute_force_instances(big, "wedge")
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Multiset", ""])
+def test_signature_rejects_an_unknown_typing_mode(mode):
+    with pytest.raises(ValueError) as info:
+        TypedGraphletSignature(SKELETONS["wedge"], typing_mode=mode)
+    assert type(info.value) is ValueError
+    assert str(info.value) == "typing_mode must be one of ('multiset', 'set', 'strict')"
 
 
 # ---------------------------------------------------------------- census
@@ -467,21 +480,33 @@ def test_occurrence_tables_die_with_their_graph():
 
 # ---------------------------------------------------------------- coded typing
 
+# Seeded graphs with 1 to 4 node types and 1 to 3 edge types, for the one
+# signature order that typing and census share.
+ORDER_GRAPHS = [random_graph(800 + seed, 8 + seed % 6, 0.45, n_type_count=1 + seed % 4,
+                             e_type_count=1 + seed % 3) for seed in range(12)]
+
+
+def _type_tuples(sig):
+    return sig.node_types, sig.edge_types
+
+
 def _signature_loop(g, skel, mode):
-    """Oracle: ``signature_of`` per occurrence row, interned in first-seen order."""
-    interned = {}
-    ids = [interned.setdefault(signature_of(g, nodes, skel, mode), len(interned))
-           for nodes in _occurrence_rows(g, skel).tolist()]
-    return ids, list(interned)
+    """Oracle: ``signature_of`` per occurrence row, numbered in (node types, edge types) order."""
+    per_row = [signature_of(g, nodes, skel, mode) for nodes in _occurrence_rows(g, skel).tolist()]
+    sigs = sorted(set(per_row), key=_type_tuples)
+    number = {sig: i for i, sig in enumerate(sigs)}
+    return [number[sig] for sig in per_row], sigs
 
 
 def test_coded_signatures_match_signature_of_row_by_row():
-    # Two node and two edge types, plus a dense graph with 1,000 node-type
-    # and 100 edge-type names, where one packed int64 key per 4-clique would
-    # need about 10^24 values.
+    # Two node and two edge types, the order graphs, and a dense graph with
+    # 1,000 node-type and 100 edge-type names, where one packed int64 key
+    # per 4-clique would need about 10^24 values. The oracle numbers the
+    # signatures in type-tuple order, so the order is checked too.
     graphs = [random_graph(400 + seed, 14, 0.3 + 0.05 * seed, n_type_count=2, e_type_count=2)
-              for seed in range(6)]
+              for seed in range(6)] + ORDER_GRAPHS
     graphs.append(random_graph(7, 12, 0.8, n_type_count=1000, e_type_count=100))
+    mixed = set()
     for i, g in enumerate(graphs):
         for name, skel in SKELETONS.items():
             for mode in ("multiset", "set", "strict"):
@@ -489,8 +514,28 @@ def test_coded_signatures_match_signature_of_row_by_row():
                 want_ids, want_sigs = _signature_loop(g, skel, mode)
                 assert ids.tolist() == want_ids, (i, name, mode)
                 assert sigs == want_sigs, (i, name, mode)
+                if len({len(sig.node_types) for sig in sigs}) > 1:
+                    mixed.add(mode)
+    # Set mode orders signatures of different lengths, such as (0,) and (0, 1).
+    assert mixed == {"set"}
     assert any(len(_signature_column(graphs[-1], SKELETONS["4-clique"], mode)[1]) > 1
                for mode in ("multiset", "set", "strict"))
+
+
+# Each explicit list holds an alias, a repeat, or both.
+@pytest.mark.parametrize("skels", [None, ["4-clique", "wedge", "edge", "3-path", "diamond",
+                                          "chordal-cycle"], ["triangle", "4-star", "triangle"]])
+@pytest.mark.parametrize("mode", ["multiset", "set", "strict"])
+def test_census_keys_come_in_skeleton_order_then_type_tuple_order(mode, skels):
+    # Dict equality ignores key order, so the order is compared as a list.
+    position = {name: i for i, name in enumerate(SKELETON_ORDER)}
+    names = THREE_FOUR_NODE if skels is None else {resolve_skeleton(s).name for s in skels}
+    for i, g in enumerate(ORDER_GRAPHS):
+        keys = list(census(g, skels, mode))
+        assert keys == sorted(keys, key=lambda sig: (position[sig.skeleton.name],
+                                                     *_type_tuples(sig))), i
+        assert {sig.skeleton.name for sig in keys} == {
+            name for name in names if len(_occurrence_rows(g, SKELETONS[name]))}, i
 
 
 def test_no_query_calls_the_signature_oracle(monkeypatch):

@@ -182,9 +182,33 @@ def test_nonconvergence_after_the_retry_is_an_error(monkeypatch):
     lap = edge_laplacian(connected_random_graph(51, 30, 0.3))
     calls = _eigsh_failing(monkeypatch, 2)
     monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
-    with pytest.raises(EigenConvergenceError):
+    with pytest.raises(EigenConvergenceError) as info:
         smallest_eigenpairs(lap, 2)
     assert len(calls) == 2
+    assert str(info.value) == "eigensolver did not converge for 2 pairs at dimension 30"
+    assert info.value.residual is None
+
+
+def test_nonconvergence_after_the_retry_reports_the_largest_partial_residual(monkeypatch):
+    # Both solves stall, each with one partial pair whose vector is moved;
+    # the error carries the largest absolute residual entry of that pair.
+    lap = edge_laplacian(connected_random_graph(51, 30, 0.3))
+    mu, vecs = spla.eigsh(2.0 * np.eye(lap.dim) - lap.matrix.toarray(), k=1, which="LA")
+    vecs[0] += 0.25
+    want = float(np.abs(lap.matrix.toarray() @ vecs - vecs * (2.0 - mu)).max())
+    calls = []
+
+    def eigsh(*args, **kwargs):
+        calls.append(kwargs)
+        raise spla.ArpackNoConvergence("stalled", mu, vecs)
+
+    monkeypatch.setattr("typedgraphlets.spectral.spla.eigsh", eigsh)
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_THRESHOLD", 1)
+    with pytest.raises(EigenConvergenceError) as info:
+        smallest_eigenpairs(lap, 2)
+    assert len(calls) == 2
+    assert str(info.value) == "eigensolver did not converge for 2 pairs at dimension 30"
+    assert want > 0.1 and info.value.residual == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("route, threshold", [("dense", 10_000), ("krylov", 1)])
@@ -325,6 +349,20 @@ def test_sweep_requires_two_nodes():
     gH = build_motif_matrix(make_graph(2, [(0, 1)]), EDGE_SIG).induced_graph()
     with pytest.raises(ValueError):
         sweep_cut(gH, np.array([0.0]), nodes=[0])
+
+
+@pytest.mark.parametrize("v2, nodes, message", [
+    ([0.0, 1.0, 2.0], [0, 1], "eigenvector length does not match node count"),
+    ([0.0, 1.0], [2, 1], "nodes must be ascending so ties break toward lower ids"),
+    ([0.0, 1.0, 2.0], [0, 2, 2], "nodes must be ascending so ties break toward lower ids"),
+    # Both faults: the length is checked before the order.
+    ([0.0, 1.0, 2.0], [1, 0], "eigenvector length does not match node count"),
+])
+def test_sweep_rejects_misaligned_or_unordered_nodes(v2, nodes, message):
+    gH = WeightedGraph(4, {(0, 1): 1, (1, 2): 1, (2, 3): 1})
+    with pytest.raises(ValueError) as info:
+        sweep_cut(gH, np.array(v2), nodes=nodes)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_sweep_rejects_node_ids_outside_the_graph():
@@ -535,6 +573,13 @@ def test_partition_barbell_into_triangles():
     res = recursive_bipartition(barbell(), TRI_SIG, 2)
     assert sorted(map(tuple, res.parts)) == [(0, 1, 2), (3, 4, 5)]
     assert not res.early_stop
+
+
+@pytest.mark.parametrize("target_k", [1, 0, -3])
+def test_partition_needs_a_target_of_two_parts(target_k):
+    with pytest.raises(ValueError) as info:
+        recursive_bipartition(barbell(), TRI_SIG, target_k)
+    assert type(info.value) is ValueError and str(info.value) == "target_k must be at least 2"
 
 
 def test_partition_three_cliques():
